@@ -10,10 +10,10 @@ GO ?= go
 # in the baseline with their GFLOPS/GB-per-s custom metrics.
 BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel
 
-# Packages with concurrency worth racing: the pipelined scheduler, the
-# async transport wrappers, the simulated-WAN transport (including the
-# 100-platform scale-out soak), the parameter-server baselines (sync
-# SGD and FedAvg), the parallel tensor kernels, the replication tier's
+# Packages with concurrency worth racing: the session schedulers and
+# transports, the simulated-WAN transport (including the 100-platform
+# scale-out soak), the parameter-server baselines (sync SGD and
+# FedAvg), the parallel tensor kernels, the replication tier's
 # write-ahead log, the multi-tenant serving tier (scheduler + batchers
 # + shared gate) and the experiment runners that drive real
 # goroutine-per-party sessions (including the relaxed-consistency
@@ -31,12 +31,19 @@ COVER_MIN_wal        = 85
 COVER_MIN_serve      = 80
 COVER_MIN_fedavg     = 82
 
-.PHONY: test bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
+.PHONY: test perfbench-test bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
 
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# perfbench is its own module (perfbench/go.mod), so the root
+# `go build ./...` never compiles it. Vet and test it here, so that a
+# public symbol it uses cannot be deleted without failing the gate.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -112,10 +119,10 @@ cover:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# The CI gate, job for job: lint, build+test, race, the purego and
-# arm64 kernel-dispatch legs, bench smoke plus the allocation-regression
-# compare, fuzz smoke. govulncheck is CI-only (network).
-ci: fmt-check test race purego-test cross-arm64 bench-smoke bench-compare fuzz-smoke
+# The CI gate, job for job: lint, build+test (including perfbench),
+# race, the purego and arm64 kernel-dispatch legs, bench smoke plus the
+# allocation-regression compare, fuzz smoke. govulncheck is CI-only (network).
+ci: fmt-check test perfbench-test race purego-test cross-arm64 bench-smoke bench-compare fuzz-smoke
 
 # Human-readable benchmark sweep of the tensor engine, codecs and
 # training path.
@@ -229,7 +236,6 @@ bench-save-consistency:
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes' -benchmem -benchtime 2x -run NONE . \
 		| $(GO) run ./cmd/benchjson \
 		-note '25 synthetic clinics (seed 23), 10% compute stragglers at 8x the 5ms base, 2ms server compute; sim-ms/round is virtual wall-clock per round' \
-		-note 'pipelined arm reports the analytic estimate (its async stamps make measured elapsed noisy); all other arms are measured and deterministic' \
 		> BENCH_consistency.json
 	@echo wrote BENCH_consistency.json
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 	"medsplit/internal/geonet"
 )
@@ -14,9 +15,7 @@ import (
 // the base. ns/op is the real wall cost of simulating the session;
 // sim-ms/round is the virtual wall-clock per round on that scenario —
 // the quantity the consistency spectrum trades accuracy against (see
-// experiment.RunConsistencyFrontier for the full sweep). The pipelined
-// arm reports the analytic estimate instead of the measured elapsed:
-// its engine's async stamps make the measurement run-to-run noisy.
+// experiment.RunConsistencyFrontier for the full sweep).
 func BenchmarkConsistencyModes(b *testing.B) {
 	const rounds, n = 4, 25
 	topo, regions := geonet.SyntheticClinics(n, 23)
@@ -26,10 +25,9 @@ func BenchmarkConsistencyModes(b *testing.B) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		{"pipelined", func(c *experiment.Config) { c.Pipelined = true; c.PipelineDepth = 2 }},
-		{"stale-k1", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
-		{"stale-k4", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
-		{"splitfed", func(c *experiment.Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
+		{"stale-k1", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 1 }},
+		{"stale-k4", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 4 }},
+		{"splitfed", func(c *experiment.Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
 	}
 	for _, mode := range modes {
 		b.Run("mode="+mode.name, func(b *testing.B) {
@@ -59,11 +57,7 @@ func BenchmarkConsistencyModes(b *testing.B) {
 				}
 				last = res
 			}
-			simPerRound := float64(last.SimElapsed.Milliseconds()) / rounds
-			if cfg.Pipelined {
-				simPerRound = float64(last.RoundTime.Milliseconds())
-			}
-			b.ReportMetric(simPerRound, "sim-ms/round")
+			b.ReportMetric(float64(last.SimElapsed.Milliseconds())/rounds, "sim-ms/round")
 			b.ReportMetric(last.FinalAccuracy, "accuracy")
 		})
 	}

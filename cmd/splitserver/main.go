@@ -13,10 +13,11 @@
 //	splitplatform -addr 127.0.0.1:7700 -id 1 -platforms 2 -rounds 40
 //
 // Scheduling sits on a consistency spectrum (README "Consistency
-// spectrum"). The default sequential mode, -concat and -pipeline N all
-// train bit-identically to sequential; -stale K relaxes that to
-// bounded staleness (each exchange may miss at most K rounds of the
-// other platforms' updates; K=0 keeps the sequential schedule), and
+// spectrum"). The default sequential mode is the paper's strict
+// per-platform exchange; -concat fuses every platform's minibatch into
+// one step per round; -stale K relaxes sequential to bounded
+// staleness (each exchange may miss at most K rounds of the other
+// platforms' updates; K=0 keeps the sequential schedule), and
 // -splitfed runs platforms local-parallel between -l1sync averaging
 // boundaries. The relaxed modes need no platform-side flags: the
 // server's processing order alone decides the consistency model.
@@ -86,7 +87,6 @@ func main() {
 		lr         = flag.Float64("lr", 0.05, "server-side learning rate")
 		seed       = flag.Uint64("seed", 1, "shared model seed")
 		concat     = flag.Bool("concat", false, "concatenated round mode instead of sequential")
-		pipeline   = flag.Int("pipeline", 0, "pipelined round mode with the given in-flight depth (0 = off)")
 		stale      = flag.Int("stale", -1, "bounded-staleness round mode with cap K (-1 = off; 0 = sequential schedule)")
 		splitfed   = flag.Bool("splitfed", false, "splitfed local-parallel round mode (requires -l1sync >= 1)")
 		l1sync     = flag.Int("l1sync", 0, "average platform L1 weights every N rounds (0 = off)")
@@ -132,7 +132,7 @@ func main() {
 	opts := serverOpts{
 		addr: *addr, platforms: *platforms, rounds: *rounds, arch: *arch,
 		classes: *classes, width: *width, lr: float32(*lr), seed: *seed,
-		concat: *concat, pipeline: *pipeline, stale: *stale, splitfed: *splitfed,
+		concat: *concat, stale: *stale, splitfed: *splitfed,
 		l1sync: *l1sync, evalEvery: *evalEvery,
 		codec: *codec, loadPath: *loadPath, savePath: *savePath,
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery, resumeDir: *resumeDir,
@@ -163,7 +163,6 @@ type serverOpts struct {
 	lr                 float32
 	seed               uint64
 	concat             bool
-	pipeline           int
 	stale              int
 	splitfed           bool
 	l1sync, evalEvery  int
@@ -226,10 +225,6 @@ func run(o serverOpts) error {
 		mode = core.RoundModeConcat
 		picked++
 	}
-	if o.pipeline > 0 {
-		mode = core.RoundModePipelined
-		picked++
-	}
 	if o.stale >= 0 {
 		mode = core.RoundModeBoundedStaleness
 		picked++
@@ -242,7 +237,7 @@ func run(o serverOpts) error {
 		picked++
 	}
 	if picked > 1 {
-		return fmt.Errorf("-concat, -pipeline, -stale and -splitfed are mutually exclusive")
+		return fmt.Errorf("-concat, -stale and -splitfed are mutually exclusive")
 	}
 	staleness := 0
 	if o.stale > 0 {
@@ -255,7 +250,6 @@ func run(o serverOpts) error {
 		Rounds:          o.rounds,
 		StartRound:      startRound,
 		Mode:            mode,
-		PipelineDepth:   o.pipeline,
 		Staleness:       staleness,
 		ClipGrads:       5,
 		L1SyncEvery:     o.l1sync,
@@ -382,8 +376,8 @@ func runStandby(o serverOpts) error {
 	if o.walDir == "" {
 		return fmt.Errorf("-standby requires -wal-dir")
 	}
-	if o.concat || o.pipeline > 1 {
-		return fmt.Errorf("-standby supports sequential or depth-1 pipelined sessions")
+	if o.concat {
+		return fmt.Errorf("-standby supports sequential sessions only")
 	}
 	_, back, err := buildBack(o)
 	if err != nil {

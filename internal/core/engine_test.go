@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -45,6 +46,32 @@ func buildFronts(t *testing.T, seed uint64, k, in, classes int) (fronts []*nn.Se
 		}
 	}
 	return fronts, back
+}
+
+// assertParamsBitIdentical compares two parameter sets down to the
+// float bit pattern — no tolerance.
+func assertParamsBitIdentical(t *testing.T, label string, a, b [][]*nn.Param) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d param sets vs %d", label, len(a), len(b))
+	}
+	for s := range a {
+		if len(a[s]) != len(b[s]) {
+			t.Fatalf("%s: set %d has %d vs %d params", label, s, len(a[s]), len(b[s]))
+		}
+		for i := range a[s] {
+			x, y := a[s][i].W.Data(), b[s][i].W.Data()
+			if len(x) != len(y) {
+				t.Fatalf("%s: set %d param %d size %d vs %d", label, s, i, len(x), len(y))
+			}
+			for j := range x {
+				if math.Float32bits(x[j]) != math.Float32bits(y[j]) {
+					t.Fatalf("%s: set %d param %d (%s) differs at scalar %d: %v vs %v",
+						label, s, i, a[s][i].Name, j, x[j], y[j])
+				}
+			}
+		}
+	}
 }
 
 // flatten turns an image dataset into vectors for MLP tests.

@@ -3,16 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
-	"medsplit/internal/dataset"
 	"medsplit/internal/nn"
-	"medsplit/internal/rng"
 	"medsplit/internal/tensor"
 	"medsplit/internal/transport"
+	"medsplit/internal/transport/testutil"
 	"medsplit/internal/wire"
 )
 
@@ -191,34 +188,13 @@ func TestRunLocalSurvivesPlatformConfigError(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the live goroutine count drops back to at
-// most base — the manual leak assertion for the pipelined mode's
-// reader/writer goroutines (this repo deliberately has no external
-// goleak dependency). Tests here never run in parallel, so the global
-// count is meaningful.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for i := 0; i < 200; i++ {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-}
-
-// A platform that dies mid-pipeline (after shipping its first
-// activations) must surface as a server error, not a hang, and the
-// async wrapper goroutines must all exit once the caller closes the
-// connection — exactly what RunLocal and the TCP commands do.
-func TestPipelinedPlatformDiesMidPipeline(t *testing.T) {
-	base := runtime.NumGoroutine()
-	conn, errCh := serveOne(t, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
+// A platform that dies mid-round (after shipping its first
+// activations) must surface as a server error, not a hang, and leave
+// no session goroutine behind once the caller closes the connection —
+// exactly what RunLocal and the TCP commands do.
+func TestPlatformDiesMidRound(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	conn, errCh := serveOne(t, nil)
 	if err := conn.Send(hello(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -231,125 +207,23 @@ func TestPipelinedPlatformDiesMidPipeline(t *testing.T) {
 	}
 	conn.Close() // die before answering the logits
 	if err := <-errCh; err == nil {
-		t.Fatal("server survived a platform dying mid-pipeline")
+		t.Fatal("server survived a platform dying mid-round")
 	}
-	waitGoroutines(t, base)
-}
-
-// slowConn delays every send, simulating a platform behind a congested
-// WAN link. The pipelined scheduler may stall on its bounded queues but
-// must never corrupt or reorder the protocol.
-type slowConn struct {
-	transport.Conn
-	delay time.Duration
-}
-
-func (s slowConn) Send(m *wire.Message) error {
-	time.Sleep(s.delay)
-	return s.Conn.Send(m)
-}
-
-// A slow platform fills the server's receive queue for its connection
-// and stalls its own slot, but training still completes correctly for
-// every platform — backpressure, not breakage.
-func TestPipelinedSlowPlatformStallsQueueNotCorrectness(t *testing.T) {
-	base := runtime.NumGoroutine()
-	train, _ := testData(t, 3, 120, 8, 201)
-	flat := flatten(train)
-	in := flat.X.Dim(1)
-	const rounds, K = 5, 2
-
-	fronts, back := buildFronts(t, 401, K, in, 3)
-	shards := dataset.ShardIID(flat.Len(), K, rng.New(202))
-	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
-	platforms := make([]*Platform, K)
-	for k := 0; k < K; k++ {
-		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, func(c *PlatformConfig) {
-			shadow, _ := buildSplitMLP(t, 401, in, 3)
-			c.ShadowFront = shadow
-		})
-	}
-	sConns := make([]transport.Conn, K)
-	pConns := make([]transport.Conn, K)
-	for k := 0; k < K; k++ {
-		s, c := transport.Pipe()
-		sConns[k] = s
-		if k == 1 {
-			c = slowConn{Conn: c, delay: 2 * time.Millisecond}
-		}
-		pConns[k] = c
-	}
-	defer func() {
-		for k := 0; k < K; k++ {
-			sConns[k].Close()
-			pConns[k].Close()
-		}
-	}()
-	errs := make([]error, K+1)
-	stats := make([]*PlatformStats, K)
-	var wg sync.WaitGroup
-	wg.Add(K + 1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(sConns); err != nil {
-			errs[0] = err
-			for _, c := range sConns {
-				c.Close()
-			}
-		}
-	}()
-	for k := 0; k < K; k++ {
-		k := k
-		go func() {
-			defer wg.Done()
-			st, err := platforms[k].Run(pConns[k])
-			if err != nil {
-				errs[k+1] = err
-				pConns[k].Close()
-				return
-			}
-			stats[k] = st
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < K; k++ {
-		if len(stats[k].Rounds) != rounds {
-			t.Fatalf("platform %d finished %d rounds, want %d", k, len(stats[k].Rounds), rounds)
-		}
-	}
-	for k := 0; k < K; k++ {
-		sConns[k].Close()
-		pConns[k].Close()
-	}
-	waitGoroutines(t, base)
 }
 
 // A protocol violation by one platform mid-round must error the server,
 // propagate to the healthy platform (which is blocked on the dead
 // server), and leave no goroutines behind once connections close.
-func TestPipelinedServerErrorPropagatesToAllPlatforms(t *testing.T) {
-	base := runtime.NumGoroutine()
+func TestServerErrorPropagatesToAllPlatforms(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	train, _ := testData(t, 3, 120, 8, 203)
 	flat := flatten(train)
 	in := flat.X.Dim(1)
 	const rounds, K = 4, 2
 
 	fronts, back := buildFronts(t, 411, K, in, 3)
-	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
-	healthy := defaultPlatform(t, 1, fronts[1], flat, rounds, func(c *PlatformConfig) {
-		c.ID = 1
-		shadow, _ := buildSplitMLP(t, 411, in, 3)
-		c.ShadowFront = shadow
-	})
+	srv := defaultServer(t, back, K, rounds, nil)
+	healthy := defaultPlatform(t, 1, fronts[1], flat, rounds, func(c *PlatformConfig) { c.ID = 1 })
 
 	sConns := make([]transport.Conn, K)
 	pConns := make([]transport.Conn, K)
@@ -398,11 +272,57 @@ func TestPipelinedServerErrorPropagatesToAllPlatforms(t *testing.T) {
 	if err := <-healthyErr; err == nil {
 		t.Fatal("healthy platform did not observe the server failure")
 	}
-	for k := 0; k < K; k++ {
-		sConns[k].Close()
-		pConns[k].Close()
+}
+
+// In label-sharing mode the server computes the loss from labels the
+// platform sends, and the loss indexes the logits by label. A label
+// outside [0, classes) must fail the session with ErrProtocol naming
+// the platform, in every scheduler that computes a server-side loss,
+// instead of crashing the server process.
+func TestServerRejectsOutOfRangeLabels(t *testing.T) {
+	modes := []struct {
+		name string
+		mut  func(*ServerConfig)
+	}{
+		{"sequential", func(c *ServerConfig) {}},
+		{"concat", func(c *ServerConfig) { c.Mode = RoundModeConcat }},
+		{"bounded-staleness", func(c *ServerConfig) { c.Mode = RoundModeBoundedStaleness; c.Staleness = 1 }},
 	}
-	waitGoroutines(t, base)
+	for _, mode := range modes {
+		for _, label := range []int{2, -1} { // serveOne's model has 2 classes
+			t.Run(fmt.Sprintf("%s/label=%d", mode.name, label), func(t *testing.T) {
+				testutil.VerifyNoLeaks(t)
+				conn, errCh := serveOne(t, func(c *ServerConfig) {
+					c.LabelSharing = true
+					c.Loss = nn.SoftmaxCrossEntropy{}
+					mode.mut(c)
+				})
+				defer conn.Close()
+				meta := "v=1;rounds=2;labelshare=true;sync=0;eval=0;codec=raw;evaluator=false"
+				if err := conn.Send(&wire.Message{Type: wire.MsgHello, Payload: wire.EncodeText(meta)}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Recv(); err != nil { // hello-ack
+					t.Fatal(err)
+				}
+				a := tensor.New(4, 32)
+				if err := conn.Send(&wire.Message{Type: wire.MsgActivations, Round: 0, Payload: wire.EncodeTensors(a)}); err != nil {
+					t.Fatal(err)
+				}
+				labels := wire.EncodeLabels([]int{0, 1, label, 0})
+				if err := conn.Send(&wire.Message{Type: wire.MsgLabels, Round: 0, Payload: labels}); err != nil {
+					t.Fatal(err)
+				}
+				err := <-errCh
+				if !errors.Is(err, ErrProtocol) {
+					t.Fatalf("err = %v, want ErrProtocol", err)
+				}
+				if !strings.Contains(err.Error(), "platform 0") {
+					t.Fatalf("err = %v does not name the offending platform", err)
+				}
+			})
+		}
+	}
 }
 
 // Label-sharing handshakes must agree on both ends.

@@ -4,13 +4,10 @@ import "fmt"
 
 // This file is the session layer: one explicit state machine for the
 // split-learning protocol that both parties — and every scheduling
-// mode — drive. Before the refactor each party had a monolithic round
-// loop (and the pipelined variant a third), with the schedule logic
-// (when to train, sync L1, evaluate, stop) duplicated and interleaved
-// with wire I/O. Now the schedule is a value (sessionPlan), the
-// protocol position is a value (Session), and the round modes are
-// schedulers that decide only HOW a train phase moves bytes, never
-// WHAT the next phase is. Checkpointing and dropout recovery both
+// mode — drive. The schedule is a value (sessionPlan), the protocol
+// position is a value (Session), and the round modes are schedulers
+// that decide only HOW a train phase moves bytes, never WHAT the next
+// phase is. Checkpointing and dropout recovery both
 // hang off this machine: a checkpoint is a serialization of the
 // session position plus party state at a round boundary, and a rejoin
 // is a negotiation that re-enters the machine at an agreed position.
@@ -80,9 +77,9 @@ func (p sessionPlan) evalRound(r int) bool {
 
 // Session tracks a party's position in the protocol: the current
 // state and the current round. Both the server and each platform hold
-// one; the schedulers (sequential, concat, pipelined; plain and
-// overlapped platform loops) advance it identically, which is the
-// lockstep invariant the handshake establishes.
+// one; the server's schedulers and the platform's walk advance it
+// identically, which is the lockstep invariant the handshake
+// establishes.
 type Session struct {
 	plan  sessionPlan
 	state SessionState

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/dataset"
 	"medsplit/internal/geonet"
 	"medsplit/internal/metrics"
@@ -82,41 +83,18 @@ type Config struct {
 	// L1SyncEvery periodically averages platform L1 weights through the
 	// server (0 = the paper's default of init-only synchronization).
 	L1SyncEvery int
-	// ConcatRounds uses the server's concatenated round mode instead of
-	// sequential per-platform steps.
-	ConcatRounds bool
-	// Pipelined uses the server's pipelined round mode: sequential
-	// optimizer semantics with WAN I/O overlapped against server
-	// compute. Mutually exclusive with ConcatRounds. Split scheme only.
-	Pipelined bool
-	// PipelineDepth bounds the in-flight rounds in pipelined mode
-	// (default 2, which also enables the platforms' shadow-front
-	// overlap; 1 is bit-identical to sequential scheduling).
-	PipelineDepth int
-	// PipelineIOBudget caps the pipelined server's dedicated I/O
-	// goroutines (two per overlapped connection); connections beyond
-	// the budget run synchronously with identical results. 0 = no cap.
-	// Requires Pipelined. See core.ServerConfig.IOGoroutineBudget.
-	PipelineIOBudget int
-	// BoundedStaleness uses the server's bounded-staleness round mode:
-	// per-platform updates apply as each platform's exchange arrives, in
-	// platform-major windows of Staleness+1 rounds. Mutually exclusive
-	// with ConcatRounds, Pipelined and SplitFed; incompatible with
-	// checkpoints, resume, dropout recovery and replication (the relaxed
-	// scheduler runs ahead of synchronized round boundaries). Split
-	// scheme only.
-	BoundedStaleness bool
+	// Mode is the server's round mode (zero value: sequential). The
+	// relaxed modes, core.RoundModeBoundedStaleness and
+	// core.RoundModeSplitFed, are incompatible with checkpoints, resume,
+	// dropout recovery and replication (their schedulers run ahead of
+	// synchronized round boundaries); SplitFed also requires
+	// L1SyncEvery >= 1, its averaging period. Split scheme only.
+	Mode core.RoundMode
 	// Staleness is the bounded-staleness cap K: a platform may run at
 	// most K rounds ahead of the slowest platform's last applied
 	// update. K=0 is provably bit-identical to sequential scheduling.
-	// Requires BoundedStaleness.
+	// Requires core.RoundModeBoundedStaleness.
 	Staleness int
-	// SplitFed runs the SplitFed-style local-parallel mode: platforms
-	// train front halves through whole averaging periods back to back,
-	// and every L1SyncEvery rounds the server averages the fronts
-	// (fedavg's aggregation rule) before anyone continues. Requires
-	// L1SyncEvery >= 1; same exclusions as BoundedStaleness.
-	SplitFed bool
 	// Codec names the activation-path compression codec ("raw", "f16",
 	// "int8", "topk-<frac>"; default "raw"). Split scheme only.
 	Codec string
@@ -130,8 +108,8 @@ type Config struct {
 	// every platform — from the snapshots in the given directory (a
 	// previous run's CheckpointDir) and continues training from the
 	// checkpointed round. The resumed trajectory is bit-identical to an
-	// uninterrupted run for sequential, concat and depth-1 pipelined
-	// scheduling. Split scheme only.
+	// uninterrupted run for sequential and concat scheduling. Split
+	// scheme only.
 	ResumeFrom string
 	// Augment enables platform-local random crop (pad 4) and horizontal
 	// flip on training minibatches. Split scheme, image models only.
@@ -180,7 +158,7 @@ type Config struct {
 	// split server: every training step is appended to a write-ahead
 	// log and streamed to the followers before its cut gradient is
 	// acked, so the aggregation tier survives a leader crash. Split
-	// scheme only; requires sequential or depth-1 pipelined scheduling.
+	// scheme only; requires sequential scheduling.
 	Replicas int
 	// WALDir is where the replication tier keeps its write-ahead logs
 	// (a subdirectory for the leader and one per follower). Empty with
@@ -244,9 +222,6 @@ func (c Config) withDefaults() Config {
 			c.EvalEvery = 1
 		}
 	}
-	if c.Pipelined && c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
-	}
 	return c
 }
 
@@ -254,25 +229,16 @@ func (c Config) withDefaults() Config {
 // rules live here; the Run* entry points call it right after
 // withDefaults.
 func (c Config) validate() error {
-	modes := 0
-	for _, on := range []bool{c.ConcatRounds, c.Pipelined, c.BoundedStaleness, c.SplitFed} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("experiment: ConcatRounds, Pipelined, BoundedStaleness and SplitFed are mutually exclusive")
-	}
-	if c.Staleness != 0 && !c.BoundedStaleness {
-		return fmt.Errorf("experiment: Staleness %d without BoundedStaleness", c.Staleness)
+	if c.Staleness != 0 && c.Mode != core.RoundModeBoundedStaleness {
+		return fmt.Errorf("experiment: Staleness %d without bounded-staleness mode", c.Staleness)
 	}
 	if c.Staleness < 0 {
 		return fmt.Errorf("experiment: negative Staleness %d", c.Staleness)
 	}
-	if c.SplitFed && c.L1SyncEvery < 1 {
-		return fmt.Errorf("experiment: SplitFed requires L1SyncEvery >= 1")
+	if c.Mode == core.RoundModeSplitFed && c.L1SyncEvery < 1 {
+		return fmt.Errorf("experiment: splitfed mode requires L1SyncEvery >= 1")
 	}
-	if c.BoundedStaleness || c.SplitFed {
+	if c.Mode == core.RoundModeBoundedStaleness || c.Mode == core.RoundModeSplitFed {
 		if c.CheckpointDir != "" || c.ResumeFrom != "" {
 			return fmt.Errorf("experiment: relaxed round modes do not support checkpoints or resume")
 		}
@@ -282,12 +248,6 @@ func (c Config) validate() error {
 		if c.Replicas > 0 {
 			return fmt.Errorf("experiment: relaxed round modes do not support replication")
 		}
-	}
-	if c.PipelineDepth > 0 && !c.Pipelined {
-		return fmt.Errorf("experiment: PipelineDepth %d without Pipelined", c.PipelineDepth)
-	}
-	if c.PipelineIOBudget != 0 && !c.Pipelined {
-		return fmt.Errorf("experiment: PipelineIOBudget %d without Pipelined", c.PipelineIOBudget)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("experiment: negative CheckpointEvery %d", c.CheckpointEvery)
@@ -338,19 +298,14 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("experiment: SimRejoin %q (want \"wait\" or \"proceed\")", c.SimRejoin)
 	}
-	if c.SimRejoin != "" && (c.ConcatRounds || c.Pipelined) {
+	if c.SimRejoin != "" && c.Mode == core.RoundModeConcat {
 		return fmt.Errorf("experiment: SimRejoin requires sequential scheduling")
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("experiment: negative Replicas %d", c.Replicas)
 	}
-	if c.Replicas > 0 {
-		if c.ConcatRounds {
-			return fmt.Errorf("experiment: Replicas with ConcatRounds (replication needs per-step records)")
-		}
-		if c.Pipelined && c.PipelineDepth >= 2 {
-			return fmt.Errorf("experiment: Replicas with PipelineDepth %d (failover needs sequential or depth-1 scheduling)", c.PipelineDepth)
-		}
+	if c.Replicas > 0 && c.Mode == core.RoundModeConcat {
+		return fmt.Errorf("experiment: Replicas with concat mode (replication needs per-step records)")
 	}
 	if c.WALDir != "" && c.Replicas == 0 {
 		return fmt.Errorf("experiment: WALDir without Replicas")
@@ -494,8 +449,7 @@ func (c Config) simTime(up, down []int64) (time.Duration, error) {
 // platformComputeMean is the analytic estimators' scalar stand-in for
 // the per-platform compute profile. The sequential estimator sums
 // PlatformCompute once per platform, so the mean reproduces the
-// heterogeneous sum exactly; the pipelined schedule walk treats it as
-// an approximation.
+// heterogeneous sum exactly.
 func (c Config) platformComputeMean() time.Duration {
 	if len(c.SimCompute) == 0 {
 		return 0

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/wire"
@@ -58,13 +59,8 @@ type FrontierCell struct {
 	Fault     string
 	// FinalAccuracy is the session's last evaluation.
 	FinalAccuracy float64
-	// WallClock is the simulated wall-clock of the whole session:
-	// measured virtual elapsed for the deterministic schedules, or
-	// Rounds × the analytic pipelined estimate when Analytic is set
-	// (the pipelined engine's async stamps make its measured elapsed
-	// run-to-run noisy; weights never are).
+	// WallClock is the measured virtual elapsed of the whole session.
 	WallClock time.Duration
-	Analytic  bool
 	// WeightDigest fingerprints the trained weights (see
 	// Result.WeightDigest) so frontier runs can be diffed bit for bit.
 	WeightDigest uint64
@@ -72,21 +68,17 @@ type FrontierCell struct {
 
 // frontierModes are the consistency spectrum's sweep arms, from
 // strictest to loosest coordination.
-func frontierModes() []struct {
-	name   string
-	mutate func(*Config)
-} {
-	return []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"sequential", func(c *Config) {}},
-		{"pipelined", func(c *Config) { c.Pipelined = true; c.PipelineDepth = 2 }},
-		{"stale-1", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
-		{"stale-4", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
-		{"stale-16", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 16 }},
-		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
-	}
+var frontierModes = []struct {
+	name        string
+	mode        core.RoundMode
+	staleness   int
+	l1SyncEvery int
+}{
+	{"sequential", core.RoundModeSequential, 0, 0},
+	{"stale-1", core.RoundModeBoundedStaleness, 1, 0},
+	{"stale-4", core.RoundModeBoundedStaleness, 4, 0},
+	{"stale-16", core.RoundModeBoundedStaleness, 16, 0},
+	{"splitfed", core.RoundModeSplitFed, 0, 2},
 }
 
 // frontierFaults returns the fault axis for one scale: the compute
@@ -118,9 +110,9 @@ func frontierFaults(fc FrontierConfig, scale int) []struct {
 }
 
 // RunConsistencyFrontier sweeps the consistency spectrum — sequential,
-// pipelined, bounded staleness at several caps, splitfed — across
-// platform scales and fault scenarios over the SyntheticClinics WAN
-// with the heterogeneous compute model, and returns one cell per
+// bounded staleness at several caps, splitfed — across platform
+// scales and fault scenarios over the SyntheticClinics WAN with the
+// heterogeneous compute model, and returns one measured cell per
 // combination: the accuracy-vs-wall-clock frontier the relaxed modes
 // exist to improve. Everything derives from FrontierConfig.Seed, so
 // two sweeps with equal configs return identical cells (the soak test
@@ -131,7 +123,7 @@ func RunConsistencyFrontier(fc FrontierConfig) ([]FrontierCell, error) {
 	for _, scale := range fc.Scales {
 		topo, regions := geonet.SyntheticClinics(scale, fc.Seed)
 		for _, fault := range frontierFaults(fc, scale) {
-			for _, mode := range frontierModes() {
+			for _, mode := range frontierModes {
 				cfg := Config{
 					Arch:             ArchMLP,
 					Classes:          4,
@@ -148,25 +140,22 @@ func RunConsistencyFrontier(fc FrontierConfig) ([]FrontierCell, error) {
 					SimFaults:        fault.faults,
 					SimComputeServer: fc.ServerCompute,
 					SimCompute:       fault.compute,
+					Mode:             mode.mode,
+					Staleness:        mode.staleness,
+					L1SyncEvery:      mode.l1SyncEvery,
 				}
-				mode.mutate(&cfg)
 				res, err := RunSplit(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("frontier %s/%d/%s: %w", mode.name, scale, fault.name, err)
 				}
-				cell := FrontierCell{
+				cells = append(cells, FrontierCell{
 					Mode:          mode.name,
 					Platforms:     scale,
 					Fault:         fault.name,
 					FinalAccuracy: res.FinalAccuracy,
 					WallClock:     res.SimElapsed,
 					WeightDigest:  res.WeightDigest,
-				}
-				if cfg.Pipelined {
-					cell.WallClock = time.Duration(cfg.Rounds) * res.RoundTime
-					cell.Analytic = true
-				}
-				cells = append(cells, cell)
+				})
 			}
 		}
 	}
@@ -179,12 +168,8 @@ func FrontierTable(cells []FrontierCell) string {
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "mode\tplatforms\tfault\taccuracy\twall-clock\tdigest")
 	for _, c := range cells {
-		clock := c.WallClock.Round(time.Millisecond).String()
-		if c.Analytic {
-			clock += " (analytic)"
-		}
 		fmt.Fprintf(w, "%s\t%d\t%s\t%.3f\t%s\t%#x\n",
-			c.Mode, c.Platforms, c.Fault, c.FinalAccuracy, clock, c.WeightDigest)
+			c.Mode, c.Platforms, c.Fault, c.FinalAccuracy, c.WallClock.Round(time.Millisecond), c.WeightDigest)
 	}
 	w.Flush()
 	return sb.String()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/transport/testutil"
@@ -26,8 +27,8 @@ func TestConsistencyFrontierSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != 18 { // 6 modes × 1 scale × 3 faults
-		t.Fatalf("%d cells, want 18", len(a))
+	if len(a) != 15 { // 5 modes × 1 scale × 3 faults
+		t.Fatalf("%d cells, want 15", len(a))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -44,7 +45,7 @@ func TestConsistencyFrontierSmoke(t *testing.T) {
 		}
 	}
 	table := FrontierTable(a)
-	for _, mode := range []string{"sequential", "pipelined", "stale-1", "stale-4", "stale-16", "splitfed"} {
+	for _, mode := range []string{"sequential", "stale-1", "stale-4", "stale-16", "splitfed"} {
 		if !strings.Contains(table, mode) {
 			t.Fatalf("table missing mode %s:\n%s", mode, table)
 		}
@@ -108,7 +109,7 @@ func TestBoundedStalenessK0Digest100Platforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := base
-	bs.BoundedStaleness = true // K=0
+	bs.Mode = core.RoundModeBoundedStaleness // K=0
 	got, err := RunSplit(bs)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +143,8 @@ func TestRelaxedModesTwiceRunIdenticalUnderFaults(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"stale-2", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 2 }},
-		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
+		{"stale-2", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 2 }},
+		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"medsplit/internal/core"
 	"medsplit/internal/transport/testutil"
 )
 
@@ -58,11 +59,6 @@ func TestReplicatedFailoverDigest(t *testing.T) {
 	}{
 		{"kill-r2", func(c *Config) { c.KillLeaderAt = 2 }},
 		{"kill-r4-two-replicas", func(c *Config) { c.KillLeaderAt = 4; c.Replicas = 2 }},
-		{"kill-r3-pipelined-depth1", func(c *Config) {
-			c.KillLeaderAt = 3
-			c.Pipelined = true
-			c.PipelineDepth = 1
-		}},
 		{"kill-r3-label-sharing", func(c *Config) { c.KillLeaderAt = 3; c.LabelSharing = true }},
 		{"kill-r2-l1sync", func(c *Config) { c.KillLeaderAt = 2; c.L1SyncEvery = 2 }},
 	}
@@ -133,12 +129,7 @@ func TestReplicatedConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }},
-		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.ConcatRounds = true }},
-		{"replicas with deep pipeline", func(c *Config) {
-			c.Replicas = 1
-			c.Pipelined = true
-			c.PipelineDepth = 2
-		}},
+		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.Mode = core.RoundModeConcat }},
 		{"waldir without replicas", func(c *Config) { c.WALDir = "somewhere" }},
 		{"kill without replicas", func(c *Config) { c.SimWAN = true; c.KillLeaderAt = 2 }},
 		{"kill without simwan", func(c *Config) { c.Replicas = 1; c.KillLeaderAt = 2 }},

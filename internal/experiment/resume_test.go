@@ -52,12 +52,11 @@ func TestRunSplitResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// Resume also composes with the pipelined scheduler at depth 1, where
-// the trajectory is defined to match sequential bit for bit.
-func TestRunSplitResumePipelinedDepth1(t *testing.T) {
+// Resume also composes with the concat scheduler, whose one fused
+// step per round checkpoints at the same boundaries.
+func TestRunSplitResumeConcat(t *testing.T) {
 	base := fastCfg()
-	base.Pipelined = true
-	base.PipelineDepth = 1
+	base.Mode = core.RoundModeConcat
 
 	full, err := RunSplit(base)
 	if err != nil {
@@ -90,8 +89,6 @@ func TestConfigValidationTable(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", nil, true},
-		{"concat and pipelined", func(c *Config) { c.ConcatRounds = true; c.Pipelined = true }, false},
-		{"pipeline depth without pipelined", func(c *Config) { c.PipelineDepth = 2 }, false},
 		{"negative checkpoint every", func(c *Config) { c.CheckpointEvery = -3 }, false},
 		{"checkpoint every without dir", func(c *Config) { c.CheckpointEvery = 4 }, false},
 		{"checkpoint every with dir", func(c *Config) { c.CheckpointEvery = 4; c.CheckpointDir = t.TempDir() }, true},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 	"medsplit/internal/geonet"
 	"medsplit/internal/transport/testutil"
@@ -28,14 +29,12 @@ func TestSoak100PlatformSession(t *testing.T) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		// The pipelined arm runs with a deliberately tight I/O budget:
-		// only 32 of the 100 connections get dedicated reader/writer
-		// goroutines, so the mixed async/synchronous fan-in path is
-		// raced at scale too.
-		{"pipelined-depth1-budget64", func(c *experiment.Config) {
-			c.Pipelined = true
-			c.PipelineDepth = 1
-			c.PipelineIOBudget = 64
+		// The staggered wavefront scheduler interleaves half-exchanges
+		// across all 100 connections, so its fan-in path is raced at
+		// scale too.
+		{"stale-4", func(c *experiment.Config) {
+			c.Mode = core.RoundModeBoundedStaleness
+			c.Staleness = 4
 		}},
 	}
 	for _, arm := range arms {
