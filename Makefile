@@ -76,13 +76,15 @@ cross-arm64:
 # Short coverage-guided runs of the binary decoders that face untrusted
 # bytes: the tensor payload decoder (wire), the session snapshot decoder
 # (core) and the write-ahead log reader (wal, which must also survive
-# torn/corrupt segment files on disk). Mirrors CI's fuzz-smoke job;
-# seconds per target keeps the gate fast while still shaking out fresh
-# panics.
+# torn/corrupt segment files on disk) — plus the elementwise kernels'
+# dispatch-vs-scalar differential, which guards the optimizer's clip
+# and step numerics. Mirrors CI's fuzz-smoke job; seconds per target
+# keeps the gate fast while still shaking out fresh panics.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeTensors' -fuzztime 10s ./internal/wire/
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSnapshot' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal/
+	$(GO) test -run NONE -fuzz 'FuzzElementwiseKernels' -fuzztime 10s ./internal/tensor/kernels/
 	@echo fuzz-smoke ok
 
 # Coverage summary for the engine core (the session/checkpoint/recovery

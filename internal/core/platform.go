@@ -259,27 +259,21 @@ func (p *Platform) Run(conn transport.Conn) (*PlatformStats, error) {
 func (p *Platform) walk(conn transport.Conn, sess *Session) (*PlatformStats, error) {
 	stats := &PlatformStats{}
 	for {
+		var err error
 		switch sess.State() {
 		case StateTrain:
 			r := sess.Round()
 			nn.ApplySchedule(p.cfg.Opt, p.cfg.LRSchedule, r)
-			loss, batch, err := p.trainStep(conn, r)
-			var ff *fastForwardError
-			if errors.As(err, &ff) {
-				// The server proceeded without us while we were
-				// disconnected; realign at the round it assigned.
-				if serr := sess.SkipTo(ff.round); serr != nil {
-					return nil, serr
-				}
-				continue
+			var loss float64
+			var batch int
+			if loss, batch, err = p.trainStep(conn, r); err == nil {
+				stats.Rounds = append(stats.Rounds, RoundStat{Round: r, Loss: loss, Batch: batch})
+			} else {
+				err = fmt.Errorf("core: platform %d round %d: %w", p.cfg.ID, r, err)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("core: platform %d round %d: %w", p.cfg.ID, r, err)
-			}
-			stats.Rounds = append(stats.Rounds, RoundStat{Round: r, Loss: loss, Batch: batch})
 		case StateL1Sync:
-			if err := p.l1Sync(conn, sess.Round()); err != nil {
-				return nil, fmt.Errorf("core: platform %d L1 sync round %d: %w", p.cfg.ID, sess.Round(), err)
+			if err = p.l1Sync(conn, sess.Round()); err != nil {
+				err = fmt.Errorf("core: platform %d L1 sync round %d: %w", p.cfg.ID, sess.Round(), err)
 			}
 		case StateEval:
 			if err := p.evalPoint(conn, sess.Round(), stats); err != nil {
@@ -294,6 +288,18 @@ func (p *Platform) walk(conn transport.Conn, sess *Session) (*PlatformStats, err
 				return nil, err
 			}
 			return stats, nil
+		}
+		var ff *fastForwardError
+		if errors.As(err, &ff) {
+			// The server proceeded without us while we were
+			// disconnected; realign at the round it assigned.
+			if serr := sess.SkipTo(ff.round); serr != nil {
+				return nil, serr
+			}
+			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		if err := p.advance(sess, conn); err != nil {
 			return nil, err
@@ -545,21 +551,53 @@ func (p *Platform) recvCutGrad(conn transport.Conn, r int) (*tensor.Tensor, floa
 }
 
 // l1Sync pushes L1 weights to the server and installs the weighted
-// average it returns.
+// average it returns. Like trainStep it is a stage machine over wire
+// positions (posSyncPush, posSyncAvg), so a connection that dies
+// mid-sync rejoins and resumes: the server replays an average it
+// already sent, or re-collects the push it never got.
 func (p *Platform) l1Sync(conn transport.Conn, r int) error {
 	params := p.cfg.Front.Params()
-	weights := make([]*tensor.Tensor, len(params))
-	for i, prm := range params {
-		weights[i] = prm.W
+	pos := posSyncPush
+	for pos != posDone {
+		var err error
+		switch pos {
+		case posSyncPush:
+			weights := make([]*tensor.Tensor, len(params))
+			for i, prm := range params {
+				weights[i] = prm.W
+			}
+			err = p.send(conn, &wire.Message{
+				Type:     wire.MsgModelPush,
+				Platform: uint32(p.cfg.ID),
+				Round:    uint32(r),
+				Payload:  wire.EncodeTensors(weights...),
+			})
+			if err == nil {
+				pos = posSyncAvg
+			}
+		case posSyncAvg:
+			err = p.installAverage(conn, r, params)
+			if err == nil {
+				pos = posDone
+			}
+		}
+		if err != nil {
+			resume, rerr := p.maybeRejoin(conn, r, pos, err)
+			if rerr != nil {
+				return rerr
+			}
+			if resume != posSyncPush && resume != posSyncAvg {
+				return fmt.Errorf("%w: rejoin resumes L1 sync round %d at train position %d", ErrProtocol, r, resume)
+			}
+			pos = resume
+		}
 	}
-	if err := p.send(conn, &wire.Message{
-		Type:     wire.MsgModelPush,
-		Platform: uint32(p.cfg.ID),
-		Round:    uint32(r),
-		Payload:  wire.EncodeTensors(weights...),
-	}); err != nil {
-		return err
-	}
+	return nil
+}
+
+// installAverage receives the round's averaged L1 weights and copies
+// them into params.
+func (p *Platform) installAverage(conn transport.Conn, r int, params []*nn.Param) error {
 	m, err := p.recv(conn, wire.MsgModelPush, r)
 	if err != nil {
 		return err

@@ -50,11 +50,13 @@ import (
 //     uninterrupted run but are a deterministic function of the kill
 //     point.
 //
-// Recovery covers the training exchange in sequential mode (validated
-// at construction). Drops during handshake, L1 sync or evaluation
-// phases remain fatal — those phases are rare, cheap to retry from a
-// checkpoint, and their replay semantics (partial weight averages)
-// are genuinely ambiguous.
+// Recovery covers the training exchange and the L1-sync exchange in
+// sequential mode (validated at construction). The sync is replayable
+// because the server keeps the average it sent (see syncReplay): a
+// platform that missed it gets the same bytes, so no partial average
+// is ever recomputed. Drops during the handshake or an evaluation
+// phase remain fatal — those phases are rare and cheap to retry from
+// a checkpoint.
 
 // RejoinPolicy selects how the server treats a dropped platform.
 type RejoinPolicy uint8
@@ -313,10 +315,10 @@ func (s *Server) handleDrop(k, r, pos int, cause error) (resume int, skip bool, 
 
 // adopt installs a replacement connection for platform k, reconciles
 // protocol positions, replies with the ack, and replays the cached cut
-// gradient when that is what the platform was missing. serverRound /
-// serverPos describe where the server's exchange for k stands; they
-// are the current round and posActs when adoption happens at a round
-// boundary (ProceedWithout).
+// gradient or L1 average when that is what the platform was missing.
+// serverRound / serverPos describe where the server's exchange for k
+// stands; they are the current round and posActs when adoption happens
+// at a round boundary (ProceedWithout).
 func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *rejoinOffer) (resume int, err error) {
 	meta, err := wire.DecodeText(offer.rejoin.Payload)
 	if err != nil {
@@ -331,9 +333,37 @@ func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *
 	pRound, pPos := fields["next"], fields["pos"]
 	s.trace("recv", offer.rejoin, k)
 
-	replayCut := false
+	// serverPast: the server finished round pRound's exchange with k,
+	// either moving on to the next round or into pRound's L1 sync.
+	serverPast := pRound == serverRound-1 || pRound == serverRound && serverPos > posDone
+	var replay *wire.Message
 	var ackRound, ackPos int
 	switch {
+	case pPos == posCutGrad && ps.lastCutRound == pRound && serverPast:
+		// The platform died waiting for a cut gradient the server has
+		// already moved past. Replay the cached payload; the platform
+		// finishes that round and arrives at the server's current
+		// position naturally.
+		ackRound = pRound
+		ackPos = posCutGrad
+		replay = &wire.Message{
+			Type:     wire.MsgCutGrad,
+			Platform: uint32(k),
+			Round:    uint32(ps.lastCutRound),
+			Payload:  append([]byte(nil), ps.lastCut...),
+		}
+		resume = serverPos
+	case pPos == posSyncAvg && s.lastSync.round == pRound && pRound == serverRound-1:
+		// The same for the previous round's L1 average.
+		ackRound = pRound
+		ackPos = posSyncAvg
+		replay = &wire.Message{
+			Type:     wire.MsgModelPush,
+			Platform: uint32(k),
+			Round:    uint32(pRound),
+			Payload:  append([]byte(nil), s.lastSync.payload...),
+		}
+		resume = serverPos
 	case pRound == serverRound:
 		// Same round: the lost message is the earliest position either
 		// side still needs; both resume there.
@@ -343,15 +373,6 @@ func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *
 			ackPos = pPos
 		}
 		resume = ackPos
-	case pRound == serverRound-1 && pPos == posCutGrad && ps.lastCutRound == pRound:
-		// The platform died waiting for the previous round's cut
-		// gradient, which the server has already moved past. Replay the
-		// cached payload; the platform finishes that round and arrives
-		// at the server's current position naturally.
-		ackRound = pRound
-		ackPos = posCutGrad
-		replayCut = true
-		resume = serverPos
 	case pRound < serverRound:
 		// The platform is behind (it was dropped while the server
 		// proceeded): fast-forward it to the server's round.
@@ -378,14 +399,8 @@ func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *
 	old := ps.rc.Swap(offer.conn)
 	old.Close()
 	ps.status = PlatformActive
-	if replayCut {
-		replay := &wire.Message{
-			Type:     wire.MsgCutGrad,
-			Platform: uint32(k),
-			Round:    uint32(ps.lastCutRound),
-			Payload:  append([]byte(nil), ps.lastCut...),
-		}
-		if err := s.send(ps.conn, replay, k, ps.lastCutRound); err != nil {
+	if replay != nil {
+		if err := s.send(ps.conn, replay, k, int(replay.Round)); err != nil {
 			return 0, err
 		}
 	}

@@ -233,6 +233,46 @@ func TestWaitForRejoinReplaysSwallowedCutGrad(t *testing.T) {
 	}
 }
 
+// The L1-sync exchange is rejoinable like a train exchange: a victim
+// whose link dies at either sync leg — pushing its weights, or waiting
+// for the average — rejoins and the session stays bit-identical. The
+// swallowed-average case is the replay arm: the server believes it
+// delivered and moves on to the next round, and on rejoin it replays
+// the average it kept.
+func TestWaitForRejoinDuringL1Sync(t *testing.T) {
+	const rounds, every = 10, 4
+	const syncRound = every - 1
+	baseline, _ := recoveryRun(t, recoveryOpts{rounds: rounds, l1SyncEvery: every})
+	isAverage := func(m *wire.Message) bool {
+		return m.Type == wire.MsgModelPush && m.Round == syncRound
+	}
+	cases := []struct {
+		name         string
+		wrapServer   func(transport.Conn, *RejoinBroker) transport.Conn
+		wrapPlatform func(transport.Conn) transport.Conn
+	}{
+		{name: "drop sending L1 push", wrapPlatform: severOn(wire.MsgModelPush, syncRound)},
+		{name: "drop sending L1 average", wrapServer: func(c transport.Conn, _ *RejoinBroker) transport.Conn {
+			return &severConn{Conn: c, trigger: isAverage}
+		}},
+		{name: "swallowed L1 average replayed", wrapServer: func(c transport.Conn, _ *RejoinBroker) transport.Conn {
+			return &swallowConn{Conn: c, trigger: isAverage}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			params, stats := recoveryRun(t, recoveryOpts{
+				rounds: rounds, l1SyncEvery: every, policy: WaitForRejoin, recovery: true,
+				wrapServer: tc.wrapServer, wrapPlatform: tc.wrapPlatform,
+			})
+			assertParamsBitIdentical(t, tc.name, baseline, params)
+			if len(stats[recoveryVictim].Rounds) != rounds {
+				t.Fatalf("victim trained %d rounds, want %d", len(stats[recoveryVictim].Rounds), rounds)
+			}
+		})
+	}
+}
+
 // Under ProceedWithout, the job completes without the dropped
 // platform, it rejoins at a later round boundary, and the final
 // weights are a deterministic function of the kill point: two

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"medsplit/internal/tensor"
@@ -48,12 +49,18 @@ import (
 // record and compacts the log before it, so the log is always
 // self-contained: replay = install the last base, XOR forward.
 //
-// Scope. Replication covers leader death during the training phase
-// (where the paper's traffic and compute live). Death during the
-// handshake, an L1-sync or an eval phase remains fatal, mirroring the
-// dropout-recovery scope and for the same reason: partial
-// weight-average replay semantics are genuinely ambiguous. Promoted
-// servers always run sequentially, the only mode replication admits.
+// L1 sync. The averaged L1 weights are recorded (a sync record: round
+// plus the exact payload) before the leader sends them to any
+// platform, so a platform that died waiting for the average gets it
+// replayed by the promoted follower. When the leader died before the
+// average was durable, no platform can hold it yet, and the promoted
+// server re-runs that round's sync from fresh pushes.
+//
+// Scope. Replication covers leader death during the training and
+// L1-sync phases (where the paper's traffic and compute live). Death
+// during the handshake or an eval phase remains fatal, mirroring the
+// dropout-recovery scope. Promoted servers always run sequentially,
+// the only mode replication admits.
 
 // ErrReplica reports a malformed replication record or stream.
 var ErrReplica = errors.New("core: bad replication record")
@@ -62,6 +69,7 @@ var ErrReplica = errors.New("core: bad replication record")
 const (
 	replKindBase byte = 1 // payload: EncodeSnapshot (full server state)
 	replKindStep byte = 2 // payload: step record (see encodeStepRecord)
+	replKindSync byte = 3 // payload: round u32 | averaged-L1 payload
 )
 
 // ReplicationConfig enables the replicated aggregation tier on the
@@ -184,6 +192,26 @@ func decodeStepRecord(buf []byte) (*stepRecord, error) {
 	return rec, nil
 }
 
+// encodeSyncRecord serializes an L1-sync record: kind u8 | round u32 |
+// the averaged-L1 wire payload.
+func encodeSyncRecord(round int, payload []byte) []byte {
+	buf := make([]byte, 0, 5+len(payload))
+	buf = append(buf, replKindSync)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
+	return append(buf, payload...)
+}
+
+// decodeSyncRecord parses a sync record (including its kind byte).
+func decodeSyncRecord(buf []byte) (syncReplay, error) {
+	if len(buf) < 5 || buf[0] != replKindSync {
+		return syncReplay{}, fmt.Errorf("%w: malformed sync record (%d bytes)", ErrReplica, len(buf))
+	}
+	return syncReplay{
+		round:   int(binary.LittleEndian.Uint32(buf[1:])),
+		payload: append([]byte(nil), buf[5:]...),
+	}, nil
+}
+
 // xorInto XORs src's raw float32 bit patterns into dst in place.
 // Applied twice it is the identity, which is the whole trick: delta =
 // cur XOR prev on the leader, cur = prev XOR delta on the replica,
@@ -226,6 +254,7 @@ type replicator struct {
 	followers []transport.Conn // dead entries are nil
 	prev      []*tensor.Tensor // state as of the last appended record
 	lastRound []int            // dedup: last round recorded per platform
+	lastSync  int              // dedup: last round whose sync is recorded
 }
 
 func newReplicator(rc *ReplicationConfig, platforms int) *replicator {
@@ -233,6 +262,7 @@ func newReplicator(rc *ReplicationConfig, platforms int) *replicator {
 		log:       rc.Log,
 		followers: append([]transport.Conn(nil), rc.Followers...),
 		lastRound: make([]int, platforms),
+		lastSync:  -1,
 	}
 	for k := range rp.lastRound {
 		rp.lastRound[k] = -1
@@ -313,6 +343,22 @@ func (rp *replicator) onStep(s *Server, k, r int, cut []byte) error {
 	return nil
 }
 
+// onSync records round r's averaged-L1 payload, durably, before the
+// caller sends it to any platform. A sync leg retried after a platform
+// drop sends the same payload again; the dedup guard records it once.
+func (rp *replicator) onSync(r int, payload []byte) error {
+	if rp.lastSync == r {
+		return nil
+	}
+	rec := encodeSyncRecord(r, payload)
+	if _, err := rp.log.Append(rec); err != nil {
+		return fmt.Errorf("core: replication append L1 sync round %d: %w", r, err)
+	}
+	rp.lastSync = r
+	rp.broadcast(&wire.Message{Type: wire.MsgReplRecord, Round: uint32(r), Payload: rec})
+	return nil
+}
+
 // broadcast streams a record to the live followers, dropping any whose
 // stream has died. Best effort by design: the leader's durability
 // story is the WAL, and a leader must not abort training because a
@@ -360,6 +406,8 @@ type replicaState struct {
 	lastCut   [][]byte  // last cut payload per platform (replay on rejoin)
 	lastLoss  []bool
 	lastBatch []int
+	lastSync  syncReplay // last recorded L1 average (replay on rejoin)
+	stepped   bool       // a step record follows the last base
 }
 
 func newReplicaState(platforms int) *replicaState {
@@ -368,6 +416,7 @@ func newReplicaState(platforms int) *replicaState {
 		lastCut:   make([][]byte, platforms),
 		lastLoss:  make([]bool, platforms),
 		lastBatch: make([]int, platforms),
+		lastSync:  syncReplay{round: -1},
 	}
 	for k := range rs.lastRound {
 		rs.lastRound[k] = -1
@@ -381,6 +430,7 @@ func (rs *replicaState) applyBase(snap *Snapshot) error {
 		return fmt.Errorf("%w: base snapshot role %s", ErrReplica, snap.Role)
 	}
 	rs.snap = snap
+	rs.stepped = false
 	for k := range rs.lastRound {
 		rs.lastRound[k] = snap.NextRound - 1
 		rs.lastCut[k] = nil
@@ -413,6 +463,7 @@ func (rs *replicaState) applyStep(rec *stepRecord) error {
 		}
 	}
 	rs.snap.Scalars = rec.scalars
+	rs.stepped = true
 	rs.lastRound[rec.platform] = rec.round
 	rs.lastCut[rec.platform] = rec.cut
 	rs.lastLoss[rec.platform] = rec.lossFlag
@@ -420,7 +471,7 @@ func (rs *replicaState) applyStep(rec *stepRecord) error {
 	return nil
 }
 
-// applyRecord dispatches a raw record (base or step).
+// applyRecord dispatches a raw record (base, step or sync).
 func (rs *replicaState) applyRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty record", ErrReplica)
@@ -438,6 +489,16 @@ func (rs *replicaState) applyRecord(payload []byte) error {
 			return err
 		}
 		return rs.applyStep(rec)
+	case replKindSync:
+		if rs.snap == nil {
+			return fmt.Errorf("%w: sync record before any base", ErrReplica)
+		}
+		sr, err := decodeSyncRecord(payload)
+		if err != nil {
+			return err
+		}
+		rs.lastSync = sr
+		return nil
 	default:
 		return fmt.Errorf("%w: record kind %d", ErrReplica, payload[0])
 	}
@@ -649,6 +710,17 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 		return nil, nil, fmt.Errorf("core: promotion replay: %w", err)
 	}
 	round, done := rs.resumePoint()
+	// resync: the dead leader's step records finished round round-1 on
+	// every platform but the round's scheduled L1 sync left no record,
+	// so no platform can hold the average; the promoted server re-enters
+	// the session at that sync. (A base record marks a completed
+	// boundary, sync included.)
+	plan := sessionPlan{l1SyncEvery: pc.Server.L1SyncEvery}
+	resync := rs.stepped && !slices.Contains(done, true) &&
+		plan.syncRound(round-1) && rs.lastSync.round != round-1
+	if resync {
+		round--
+	}
 
 	scfg := pc.Server
 	scfg.StartRound = round
@@ -666,6 +738,7 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 		evaluator: f.evaluator,
 		round:     round,
 		done:      done,
+		resync:    resync,
 		state:     rs,
 	}
 
@@ -676,7 +749,7 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 			closeAll(conns)
 			return nil, nil, fmt.Errorf("core: platform %d did not rejoin the promoted server within %v", k, pc.Window)
 		}
-		conn, aerr := adoptForPromotion(offer, k, rs)
+		conn, aerr := adoptForPromotion(offer, k, rs, resync)
 		if aerr != nil {
 			closeAll(conns)
 			return nil, nil, aerr
@@ -695,7 +768,7 @@ func closeAll(conns []transport.Conn) {
 }
 
 // adoptForPromotion reconciles one platform's rejoin against the
-// replayed record grammar. Exactly two shapes are legal:
+// replayed record grammar. These shapes are legal:
 //
 //   - The platform announces the round of its last recorded step at
 //     the cut-grad position: the leader recorded the step but the cut
@@ -708,10 +781,17 @@ func closeAll(conns []transport.Conn) {
 //     platform re-enters the round from the top, re-sending from its
 //     stage cache, and the server — which never recorded the step —
 //     recomputes it from bit-identical state.
+//   - The platform announces its last recorded round at the
+//     sync-average position and the round's average is recorded: ack
+//     that position and replay the recorded payload.
+//   - The platform announces its last recorded round at either sync
+//     position and the average was never recorded (resync): ack
+//     posSyncPush; the platform pushes again and the promoted server
+//     re-runs the sync.
 //
 // Anything else means the replica and the platform disagree about
 // history: refuse loudly rather than train on divergent state.
-func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState) (transport.Conn, error) {
+func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState, resync bool) (transport.Conn, error) {
 	meta, err := wire.DecodeText(offer.rejoin.Payload)
 	if err != nil {
 		offer.conn.Close()
@@ -726,13 +806,18 @@ func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState) (transport.C
 	recorded := rs.lastRound[k]
 
 	var ackPos int
-	replayCut := false
+	var replay *wire.Message
 	switch {
 	case pRound == recorded && pPos == posCutGrad && rs.lastCut[k] != nil:
 		ackPos = posCutGrad
-		replayCut = true
+		replay = &wire.Message{Type: wire.MsgCutGrad, Payload: rs.lastCut[k]}
 	case pRound == recorded+1 && pPos >= posActs && pPos <= posDone:
 		ackPos = posActs
+	case pRound == recorded && pPos == posSyncAvg && rs.lastSync.round == pRound:
+		ackPos = posSyncAvg
+		replay = &wire.Message{Type: wire.MsgModelPush, Payload: rs.lastSync.payload}
+	case pRound == recorded && (pPos == posSyncPush || pPos == posSyncAvg) && resync:
+		ackPos = posSyncPush
 	default:
 		offer.conn.Close()
 		return nil, fmt.Errorf("%w: platform %d rejoins promoted server at round %d pos %d, last recorded round %d",
@@ -748,16 +833,13 @@ func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState) (transport.C
 		offer.conn.Close()
 		return nil, fmt.Errorf("core: platform %d promotion ack: %w", k, err)
 	}
-	if replayCut {
-		replay := &wire.Message{
-			Type:     wire.MsgCutGrad,
-			Platform: uint32(k),
-			Round:    uint32(pRound),
-			Payload:  append([]byte(nil), rs.lastCut[k]...),
-		}
+	if replay != nil {
+		replay.Platform = uint32(k)
+		replay.Round = uint32(pRound)
+		replay.Payload = append([]byte(nil), replay.Payload...)
 		if err := offer.conn.Send(replay); err != nil {
 			offer.conn.Close()
-			return nil, fmt.Errorf("core: platform %d promotion cut replay: %w", k, err)
+			return nil, fmt.Errorf("core: platform %d promotion %s replay: %w", k, replay.Type, err)
 		}
 	}
 	return offer.conn, nil
@@ -766,12 +848,14 @@ func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState) (transport.C
 // promoState carries what a promoted server must know about the round
 // it resumes inside: which platforms the dead leader already stepped
 // (their exchanges are skipped — the steps are in the replayed state),
+// whether it resumes at the round's L1 sync instead (resync),
 // the evaluator identity the original handshake established, and the
 // reconciliation bookkeeping to prime per-platform recovery caches.
 type promoState struct {
 	evaluator int
 	round     int
 	done      []bool
+	resync    bool // round's training is complete; its L1 sync is not
 	state     *replicaState
 }
 
@@ -783,6 +867,7 @@ func (s *Server) adoptPromotion() {
 	s.evaluator = s.promo.evaluator
 	copy(s.lastBatch, s.promo.state.lastBatch)
 	if s.cfg.Recovery != nil {
+		s.lastSync = s.promo.state.lastSync
 		// Prime the cut-replay caches so a platform that drops again
 		// right after failover can still be replayed its last payload.
 		_ = s.reg.each(func(k int, ps *platformState) error {

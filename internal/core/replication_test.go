@@ -269,6 +269,9 @@ type failoverOpts struct {
 	// kill, when non-nil, names the leader's outbound message that
 	// kills it (k is the destination platform).
 	kill func(k int, m *wire.Message) bool
+	// killStream, when non-nil, names the replication record whose
+	// send to the follower kills the leader instead.
+	killStream func(m *wire.Message) bool
 }
 
 // failoverResult is what a replicated run leaves behind.
@@ -306,6 +309,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	followerLog := openTestWAL(t, "follower-wal")
 
 	streamLeader, streamFollower := transport.Pipe()
+	killed := o.kill != nil || o.killStream != nil
 	follower, err := NewFollower(FollowerConfig{Platforms: K, Conn: streamFollower, Log: followerLog})
 	if err != nil {
 		t.Fatal(err)
@@ -313,20 +317,6 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 
 	broker := NewRejoinBroker()
 	defer broker.Close()
-
-	scfg := ServerConfig{
-		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
-		L1SyncEvery: o.l1SyncEvery,
-		Replication: &ReplicationConfig{Log: leaderLog, Followers: []transport.Conn{streamLeader}},
-	}
-	if o.ckptEvery > 0 {
-		scfg.CheckpointEvery = o.ckptEvery
-		scfg.CheckpointDir = t.TempDir()
-	}
-	srv, err := NewServer(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rawServer := make([]transport.Conn, K)
 	serverConns := make([]transport.Conn, K)
@@ -341,6 +331,25 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 			streamLeader.Close()
 		})
 	}
+
+	var stream transport.Conn = streamLeader
+	if o.killStream != nil {
+		stream = &leaderKiller{Conn: streamLeader, trigger: o.killStream, kill: kill}
+	}
+	scfg := ServerConfig{
+		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
+		L1SyncEvery: o.l1SyncEvery,
+		Replication: &ReplicationConfig{Log: leaderLog, Followers: []transport.Conn{stream}},
+	}
+	if o.ckptEvery > 0 {
+		scfg.CheckpointEvery = o.ckptEvery
+		scfg.CheckpointDir = t.TempDir()
+	}
+	srv, err := NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for k := 0; k < K; k++ {
 		sEnd, cEnd := transport.Pipe()
 		rawServer[k] = sEnd
@@ -392,7 +401,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 			standbyErr <- fmt.Errorf("follower: %w", err)
 			return
 		}
-		if o.kill == nil {
+		if !killed {
 			standbyErr <- nil
 			return
 		}
@@ -446,10 +455,10 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	if err := errors.Join(append(perrs, serr)...); err != nil {
 		t.Fatal(err)
 	}
-	if o.kill == nil && lerr != nil {
+	if !killed && lerr != nil {
 		t.Fatalf("leader: %v", lerr)
 	}
-	if o.kill != nil && lerr == nil {
+	if killed && lerr == nil {
 		t.Fatal("the scripted kill never fired: the leader finished cleanly")
 	}
 
@@ -457,7 +466,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	for k := 0; k < K; k++ {
 		res.params = append(res.params, fronts[k].Params())
 	}
-	if o.kill == nil {
+	if !killed {
 		res.params = append(res.params, back.Params())
 		res.leader = srv
 	} else {
@@ -530,6 +539,70 @@ func TestFailoverWithSyncAndCompaction(t *testing.T) {
 		kill: killOn(0, wire.MsgCutGrad, 6),
 	})
 	assertParamsBitIdentical(t, "failover with sync and compaction", baseline, res.params)
+}
+
+// Leader death inside an L1 sync. The leader records the average
+// before sending it, so when it dies between sending the average and a
+// platform's receipt the promoted follower replays the recorded
+// payload; when it dies before the average reaches the follower, no
+// platform can hold it and the promoted server re-runs the sync. Every
+// case lands bit-identically on the undisturbed run.
+func TestFailoverDuringL1Sync(t *testing.T) {
+	const rounds, every = 10, 4
+	const syncRound = every - 1
+	baseline, _ := recoveryRun(t, recoveryOpts{rounds: rounds, l1SyncEvery: every})
+	cases := []struct {
+		name string
+		o    failoverOpts
+	}{
+		{"die sending the average to platform 1 (platform 0 has it; replay)",
+			failoverOpts{kill: killOn(1, wire.MsgModelPush, syncRound)}},
+		{"die sending the average to platform 0 (nobody has it; replay)",
+			failoverOpts{kill: killOn(0, wire.MsgModelPush, syncRound)}},
+		{"die streaming the sync record (no durable average; resync)",
+			failoverOpts{killStream: func(m *wire.Message) bool {
+				return m.Type == wire.MsgReplRecord && len(m.Payload) > 0 && m.Payload[0] == replKindSync
+			}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.rounds, tc.o.l1SyncEvery = rounds, every
+			res := failoverRun(t, tc.o)
+			assertParamsBitIdentical(t, tc.name, baseline, res.params)
+			for k, st := range res.stats {
+				if len(st.Rounds) != rounds {
+					t.Fatalf("platform %d trained %d rounds, want %d", k, len(st.Rounds), rounds)
+				}
+			}
+		})
+	}
+}
+
+func TestSyncRecordRoundTrip(t *testing.T) {
+	payload := []byte{1, 2, 3, 4, 5}
+	got, err := decodeSyncRecord(encodeSyncRecord(9, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.round != 9 || string(got.payload) != string(payload) {
+		t.Fatalf("sync record round trip: %+v", got)
+	}
+	for _, bad := range [][]byte{nil, {replKindSync, 1, 0}, {replKindStep, 0, 0, 0, 0}} {
+		if _, err := decodeSyncRecord(bad); !errors.Is(err, ErrReplica) {
+			t.Fatalf("decodeSyncRecord(%v) = %v, want ErrReplica", bad, err)
+		}
+	}
+	rs := newReplicaState(2)
+	if err := rs.applyRecord(encodeSyncRecord(3, payload)); !errors.Is(err, ErrReplica) {
+		t.Fatalf("sync record before base: %v, want ErrReplica", err)
+	}
+	rs.snap = &Snapshot{Role: RoleServer}
+	if err := rs.applyRecord(encodeSyncRecord(3, payload)); err != nil {
+		t.Fatal(err)
+	}
+	if rs.lastSync.round != 3 || string(rs.lastSync.payload) != string(payload) {
+		t.Fatalf("replica lastSync = %+v", rs.lastSync)
+	}
 }
 
 // A finished leader's WAL replays offline into exactly the live final

@@ -211,6 +211,15 @@ type platformState struct {
 	lastCutLoss  bool // payload carries the label-sharing loss scalar
 }
 
+// syncReplay is the most recent averaged-L1 payload and its round. The
+// server keeps it (recovery mode) to replay to a platform that died
+// waiting for the average after the server moved on; a promoted
+// follower rebuilds it from the replicated sync record.
+type syncReplay struct {
+	round   int
+	payload []byte
+}
+
 // Server runs the server side of the split-learning protocol.
 type Server struct {
 	cfg       ServerConfig
@@ -220,6 +229,7 @@ type Server struct {
 	lastBatch []int // most recent minibatch rows seen per platform
 	evaluator int   // platform id that runs eval phases; -1 if none
 	stop      atomic.Bool
+	lastSync  syncReplay // recovery mode: the last L1 average sent
 
 	// repl is the leader-side replication engine (nil when the
 	// replicated tier is off); promo is set only on a server built by
@@ -259,6 +269,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		lastBatch: make([]int, cfg.Platforms),
 		evaluator: -1,
+		lastSync:  syncReplay{round: -1},
 		actsDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		gradDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		labelsDec: make([][]int, cfg.Platforms),
@@ -359,6 +370,12 @@ func (s *Server) serve(conns []transport.Conn) error {
 				// leader's handshake and reconciled during Promote; install
 				// the session facts the handshake would have produced.
 				s.adoptPromotion()
+				if s.promo.resync {
+					// The dead leader trained this round but did not
+					// finish its L1 sync: stand just after the train
+					// phase so Advance enters the sync.
+					s.sess.state = StateTrain
+				}
 			} else if err := s.handshake(); err != nil {
 				return err
 			}
@@ -564,9 +581,10 @@ func (sequentialScheduler) trainRound(s *Server, r int) error {
 	})
 }
 
-// Wire positions within one platform's train exchange, in protocol
-// order. Both parties number them identically; the rejoin handshake
-// exchanges positions to agree where a recovered round resumes.
+// Wire positions within one platform's round, in protocol order: the
+// train exchange, then the L1-sync exchange on rounds that carry one.
+// Both parties number them identically; the rejoin handshake exchanges
+// positions to agree where a recovered round resumes.
 const (
 	posActs     = 0 // platform → server: activations
 	posLabels   = 1 // platform → server: labels (label-sharing mode)
@@ -574,6 +592,8 @@ const (
 	posLossGrad = 3 // platform → server: loss gradients (label-private mode)
 	posCutGrad  = 4 // server → platform: cut gradients
 	posDone     = 5 // exchange complete
+	posSyncPush = 6 // platform → server: L1 weights (L1-sync rounds)
+	posSyncAvg  = 7 // server → platform: averaged L1 weights
 )
 
 // seqExchange runs one platform's training exchange for round r as an
@@ -960,18 +980,29 @@ func (s *Server) recvLossGrad(conn transport.Conn, r, k int, z *tensor.Tensor) (
 // l1Sync averages the active platforms' L1 weights (weighted by their
 // latest minibatch sizes) and redistributes the result. Dropped
 // platforms (ProceedWithout policy) neither contribute nor receive;
-// they re-align at their next L1 sync after rejoining.
+// they re-align at their next L1 sync after rejoining. A platform that
+// drops mid-sync goes through the same recovery as a train exchange
+// (handleDrop), at the posSyncPush or posSyncAvg position. With
+// replication on, the average is recorded before any platform can see
+// it, so a promoted follower can replay it.
 func (s *Server) l1Sync(r int) error {
 	var lists [][]*tensor.Tensor
 	var weights []float64
 	if err := s.reg.eachActive(func(k int, ps *platformState) error {
-		m, err := s.recv(ps.conn, wire.MsgModelPush, r, k)
-		if err != nil {
+		var ts []*tensor.Tensor
+		skip, err := s.syncLeg(k, r, posSyncPush, func() error {
+			m, err := s.recv(ps.conn, wire.MsgModelPush, r, k)
+			if err != nil {
+				return err
+			}
+			var derr error
+			if ts, derr = wire.DecodeTensors(m.Payload); derr != nil {
+				return fmt.Errorf("%w: bad L1 push from platform %d", ErrProtocol, k)
+			}
+			return nil
+		})
+		if err != nil || skip {
 			return err
-		}
-		ts, derr := wire.DecodeTensors(m.Payload)
-		if derr != nil {
-			return fmt.Errorf("%w: bad L1 push from platform %d", ErrProtocol, k)
 		}
 		if len(lists) > 0 && len(ts) != len(lists[0]) {
 			return fmt.Errorf("%w: platform %d pushed %d tensors, want %d", ErrProtocol, k, len(ts), len(lists[0]))
@@ -997,14 +1028,46 @@ func (s *Server) l1Sync(r int) error {
 		return fmt.Errorf("%w: L1 sync: %v", ErrProtocol, err)
 	}
 	payload := wire.EncodeTensors(avg...)
+	if s.cfg.Recovery != nil {
+		s.lastSync = syncReplay{round: r, payload: payload}
+	}
+	if s.repl != nil {
+		if err := s.repl.onSync(r, payload); err != nil {
+			return err
+		}
+	}
 	return s.reg.eachActive(func(k int, ps *platformState) error {
-		return s.send(ps.conn, &wire.Message{
-			Type:     wire.MsgModelPush,
-			Platform: uint32(k),
-			Round:    uint32(r),
-			Payload:  payload,
-		}, k, r)
+		_, err := s.syncLeg(k, r, posSyncAvg, func() error {
+			return s.send(ps.conn, &wire.Message{
+				Type:     wire.MsgModelPush,
+				Platform: uint32(k),
+				Round:    uint32(r),
+				Payload:  payload,
+			}, k, r)
+		})
+		return err
 	})
+}
+
+// syncLeg runs one wire leg of platform k's L1-sync exchange at
+// position pos, retrying it on the replacement connection after a
+// recovered drop. skip reports that the platform was dropped instead
+// (ProceedWithout).
+func (s *Server) syncLeg(k, r, pos int, leg func() error) (skip bool, err error) {
+	for {
+		err := leg()
+		if err == nil {
+			return false, nil
+		}
+		resume, skip, rerr := s.handleDrop(k, r, pos, err)
+		if rerr != nil || skip {
+			return skip, rerr
+		}
+		if resume != pos {
+			return false, fmt.Errorf("%w: platform %d resumes L1 sync round %d at position %d, server at %d",
+				ErrProtocol, k, r, resume, pos)
+		}
+	}
 }
 
 // evalIfPresent runs the evaluation phase when an evaluator exists and

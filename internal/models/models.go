@@ -23,7 +23,11 @@ import (
 // harness needs.
 type Model struct {
 	Name string
-	Net  *nn.Sequential
+
+	// Net is the whole network. Its layer 0 reads raw data and is
+	// marked as the input layer (nn.MarkInput), so Net.Backward and
+	// the front half's Backward return nil.
+	Net *nn.Sequential
 
 	// DefaultCut is the layer index at which the paper's split places
 	// the platform/server boundary: layers [0, DefaultCut) form L1 and
@@ -43,7 +47,9 @@ func (m *Model) ParamCount() int { return nn.ParamCount(m.Net.Params()) }
 // Split cuts a Sequential at the given layer index: layers [0, cut) form
 // the front (platform side), layers [cut, n) the back (server side). The
 // halves share the original layer instances, so training the halves
-// trains the original network.
+// trains the original network. cut > 0, so the back half never starts
+// at the builders' input layer and its Backward returns the cut
+// gradient; the front's Backward returns nil.
 func Split(net *nn.Sequential, cut int) (front, back *nn.Sequential, err error) {
 	layers := net.Layers()
 	if cut <= 0 || cut >= len(layers) {
@@ -71,6 +77,7 @@ func MLP(in int, hidden []int, classes int, r *rng.RNG) *Model {
 		prev = h
 	}
 	layers = append(layers, nn.NewDense("head", prev, classes, r))
+	nn.MarkInput(layers[0])
 	return &Model{
 		Name:       "mlp",
 		Net:        nn.NewSequential("mlp", layers...),
@@ -111,6 +118,7 @@ func VGGLite(classes, width int, r *rng.RNG) *Model {
 		nn.NewReLU("relu4"),
 		nn.NewDense("head", 4*width*4, classes, r),
 	}
+	nn.MarkInput(layers[0])
 	return &Model{
 		Name:       "vgg-lite",
 		Net:        nn.NewSequential("vgg-lite", layers...),
@@ -149,6 +157,7 @@ func ResNetLite(classes, width int, r *rng.RNG) *Model {
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewDense("head", w3, classes, r),
 	}
+	nn.MarkInput(layers[0])
 	return &Model{
 		Name:       "resnet-lite",
 		Net:        nn.NewSequential("resnet-lite", layers...),

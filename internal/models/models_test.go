@@ -97,6 +97,56 @@ func TestSplitSharesWeights(t *testing.T) {
 	}
 }
 
+// builders are every model builder at a small, fast configuration.
+var builders = []struct {
+	name  string
+	build func() *Model
+}{
+	{"mlp", func() *Model { return MLP(12, []int{8, 6}, 4, rng.New(5)) }},
+	{"vgg-lite", func() *Model { return VGGLite(4, 2, rng.New(6)) }},
+	{"resnet-lite", func() *Model { return ResNetLite(4, 2, rng.New(7)) }},
+}
+
+// Layer 0 reads raw data, so every builder marks it — and only it — as
+// the input layer.
+func TestBuildersMarkOnlyLayerZero(t *testing.T) {
+	for _, b := range builders {
+		m := b.build()
+		for i, l := range m.Net.Layers() {
+			if got := nn.IsInput(l); got != (i == 0) {
+				t.Fatalf("%s: layer %d (%s) IsInput = %v", b.name, i, l.Name(), got)
+			}
+		}
+	}
+}
+
+// Splitting at the default cut leaves the mark on the front: the front
+// returns no input gradient, while the back half still returns the cut
+// gradient with the activations' shape.
+func TestSplitBackReturnsCutGradient(t *testing.T) {
+	for _, b := range builders {
+		m := b.build()
+		front, back, err := Split(m.Net, m.DefaultCut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(8)
+		x := tensor.New(append([]int{3}, m.InputShape...)...)
+		x.FillNormal(r, 0, 1)
+		a := front.Forward(x, true)
+		z := back.Forward(a, true)
+		dz := tensor.New(z.Shape()...)
+		dz.FillNormal(r, 0, 1)
+		da := back.Backward(dz)
+		if da == nil || !tensor.SameShape(da, a) {
+			t.Fatalf("%s: back half returned cut gradient %v for activations %v", b.name, da, a.Shape())
+		}
+		if dx := front.Backward(da); dx != nil {
+			t.Fatalf("%s: marked front returned an input gradient %v", b.name, dx.Shape())
+		}
+	}
+}
+
 func TestSplitRejectsBadCut(t *testing.T) {
 	m := MLP(4, []int{8}, 2, rng.New(7))
 	if _, _, err := Split(m.Net, 0); err == nil {

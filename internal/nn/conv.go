@@ -30,6 +30,7 @@ type Conv2D struct {
 	dCols       *tensor.Tensor // backward scratch: column-matrix gradient
 	out         *tensor.Tensor // forward output scratch (same lifetime contract)
 	dx          *tensor.Tensor // backward input-gradient scratch
+	input       bool           // MarkInput: Backward skips dCols/dx and returns nil
 	n, inH, inW int
 	outH, outW  int
 }
@@ -84,7 +85,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward consumes grad [n, outC, oh, ow]. Weight and bias gradients
 // accumulate in place (no temporary product tensors) and the two large
-// intermediates reuse layer-owned scratch across rounds.
+// intermediates reuse layer-owned scratch across rounds. An input layer
+// stops after the parameter gradients and returns nil.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil || c.n == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", c.name))
@@ -94,6 +96,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.NCHWToRowsInto(c.gRows, grad) // [n*oh*ow, outC]
 	tensor.MatMulTAAcc(c.w.G, c.gRows, c.cols)
 	tensor.SumRowsAcc(c.b.G, c.gRows)
+	if c.input {
+		return nil
+	}
 	c.dCols = tensor.EnsureShape(c.dCols, rows, c.inC*c.kh*c.kw)
 	tensor.MatMulInto(c.dCols, c.gRows, c.w.W) // [n*oh*ow, inC*kh*kw]
 	// Col2ImInto zeroes dst before accumulating, so dirty scratch is fine.

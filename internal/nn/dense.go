@@ -20,9 +20,10 @@ type Dense struct {
 	w    *Param // [in, out]
 	b    *Param // [out]
 
-	x  *tensor.Tensor // cached input for Backward
-	y  *tensor.Tensor // forward output scratch
-	dx *tensor.Tensor // backward input-gradient scratch
+	x     *tensor.Tensor // cached input for Backward
+	y     *tensor.Tensor // forward output scratch
+	dx    *tensor.Tensor // backward input-gradient scratch
+	input bool           // MarkInput: Backward skips dx and returns nil
 
 	// wf16 is a half-precision pack of W used by eval-mode Forward when
 	// set (see EnableF16). It is a snapshot: training steps do not
@@ -69,6 +70,10 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 {
 		panic(fmt.Sprintf("nn: %s: Dense input must be rank-2, got %v", d.name, x.Shape()))
 	}
+	// An eval forward drops the backward cache, so a Backward after an
+	// interleaved eval Forward panics instead of differentiating
+	// against a stale input.
+	d.x = nil
 	if train {
 		d.x = x
 	}
@@ -83,14 +88,18 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward accumulates dW = xᵀ·dy and db = Σ rows(dy), returning
-// dx = dy·Wᵀ. Both parameter gradients accumulate in place through the
-// fused Acc kernels, so no temporary product tensors are allocated.
+// dx = dy·Wᵀ, or nil for an input layer. Both parameter gradients
+// accumulate in place through the fused Acc kernels, so no temporary
+// product tensors are allocated.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", d.name))
 	}
 	tensor.MatMulTAAcc(d.w.G, d.x, grad)
 	tensor.SumRowsAcc(d.b.G, grad)
+	if d.input {
+		return nil
+	}
 	d.dx = tensor.EnsureShape(d.dx, grad.Dim(0), d.w.W.Dim(0))
 	return tensor.MatMulTBInto(d.dx, grad, d.w.W)
 }

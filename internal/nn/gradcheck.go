@@ -56,9 +56,12 @@ func (gc GradCheck) Check(l Layer, x *tensor.Tensor) error {
 	_ = l.Forward(x, true)
 	dx := l.Backward(cot)
 
-	// Numeric check of input gradient.
-	if err := gc.checkTensor("input", x, dx, objective, eps, tol, maxCoords, r); err != nil {
-		return err
+	// Numeric check of input gradient, unless the layer is an input
+	// layer (MarkInput) and returned none.
+	if dx != nil {
+		if err := gc.checkTensor("input", x, dx, objective, eps, tol, maxCoords, r); err != nil {
+			return err
+		}
 	}
 	// Numeric check of each parameter gradient.
 	for _, p := range l.Params() {

@@ -69,6 +69,106 @@ func TestDensePanicsWithoutForward(t *testing.T) {
 	d.Backward(tensor.New(1, 2))
 }
 
+// An eval-mode Forward drops Dense's backward cache, as it does for
+// Conv2D: a Backward after an interleaved eval forward must panic, not
+// differentiate against the stale training input.
+func TestDenseBackwardAfterEvalForwardPanics(t *testing.T) {
+	d := NewDense("fc", 3, 2, rng.New(1))
+	d.Forward(randInput(2, 4, 3), true)
+	d.Forward(randInput(3, 4, 3), false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward after an eval-mode Forward should panic")
+		}
+	}()
+	d.Backward(tensor.New(4, 2))
+}
+
+// inputTwins builds two identical layers, marks the first as an input
+// layer and returns a matching input batch.
+func inputTwins(t *testing.T, conv bool) (marked, plain Layer, x *tensor.Tensor) {
+	t.Helper()
+	if conv {
+		marked = NewConv2D("conv", 3, 4, 3, 3, 1, 1, rng.New(20))
+		plain = NewConv2D("conv", 3, 4, 3, 3, 1, 1, rng.New(20))
+		x = randInput(21, 2, 3, 6, 6)
+	} else {
+		marked = NewDense("fc", 7, 5, rng.New(20))
+		plain = NewDense("fc", 7, 5, rng.New(20))
+		x = randInput(21, 4, 7)
+	}
+	MarkInput(marked)
+	if !IsInput(marked) || IsInput(plain) {
+		t.Fatalf("IsInput: marked %v, plain %v", IsInput(marked), IsInput(plain))
+	}
+	return marked, plain, x
+}
+
+// A marked layer skips only the input gradient: its parameter
+// gradients are bit-identical to an unmarked twin's, and Backward
+// returns nil.
+func TestInputLayerSkipsOnlyInputGradient(t *testing.T) {
+	for _, conv := range []bool{false, true} {
+		marked, plain, x := inputTwins(t, conv)
+		ym := marked.Forward(x, true)
+		yp := plain.Forward(x, true)
+		g := randInput(22, ym.Shape()...)
+		ZeroGrads(marked.Params())
+		ZeroGrads(plain.Params())
+		if dx := marked.Backward(g); dx != nil {
+			t.Fatalf("%s: marked Backward returned %v, want nil", marked.Name(), dx.Shape())
+		}
+		if dx := plain.Backward(g); dx == nil || !tensor.SameShape(dx, x) {
+			t.Fatalf("%s: unmarked Backward lost its input gradient", plain.Name())
+		}
+		if !tensor.SameShape(ym, yp) {
+			t.Fatalf("%s: forward shapes differ", marked.Name())
+		}
+		for i, p := range marked.Params() {
+			want := plain.Params()[i].G.Data()
+			for j, v := range p.G.Data() {
+				if math.Float32bits(v) != math.Float32bits(want[j]) {
+					t.Fatalf("%s: %s[%d] = %v, unmarked twin %v", marked.Name(), p.Name, j, v, want[j])
+				}
+			}
+		}
+	}
+}
+
+func TestMarkInputRejectsOtherLayers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MarkInput on a ReLU should panic")
+		}
+	}()
+	MarkInput(NewReLU("relu"))
+}
+
+// GradCheck has no input gradient to compare for a marked layer but
+// still checks every parameter gradient.
+func TestGradCheckInputLayer(t *testing.T) {
+	for _, conv := range []bool{false, true} {
+		marked, _, x := inputTwins(t, conv)
+		mustGradCheck(t, marked, x)
+		broken := &corruptGrads{Layer: marked}
+		if err := (GradCheck{}).Check(broken, x); err == nil {
+			t.Fatalf("%s: GradCheck missed a wrong parameter gradient on an input layer", marked.Name())
+		}
+	}
+}
+
+// corruptGrads doubles the wrapped layer's parameter gradients after
+// each Backward.
+type corruptGrads struct{ Layer }
+
+func (c *corruptGrads) Backward(g *tensor.Tensor) *tensor.Tensor {
+	dx := c.Layer.Backward(g)
+	for _, p := range c.Params() {
+		p.G.Scale(2)
+	}
+	return dx
+}
+
 func TestConv2DKnownIdentityKernel(t *testing.T) {
 	// 1x1 kernel with weight 1: convolution is the identity.
 	c := NewConv2D("conv", 1, 1, 1, 1, 1, 0, rng.New(1))

@@ -118,6 +118,34 @@ func TestSGDWeightDecay(t *testing.T) {
 	}
 }
 
+// SGD.Step is bit-exact against the scalar update formula at vector
+// and tail lengths, with and without weight decay (the decay-free path
+// runs through the vector axpy kernel).
+func TestSGDStepBitExact(t *testing.T) {
+	for _, wd := range []float32{0, 0.01} {
+		for _, n := range []int{1, 7, 8, 33, 4097} {
+			w := randInput(uint64(n), n)
+			p := NewParam("w", w.Clone())
+			p.G.FillNormal(rng.New(uint64(n)+1), 0, 1)
+			opt := &SGD{LR: 0.05, WeightDecay: wd}
+			want := w.Data()
+			for i, g := range p.G.Data() {
+				grad := g
+				if wd != 0 {
+					grad += wd * want[i]
+				}
+				want[i] -= opt.LR * grad
+			}
+			opt.Step([]*Param{p})
+			for i, v := range p.W.Data() {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					t.Fatalf("wd=%v n=%d: w[%d] = %v, scalar formula %v", wd, n, i, v, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMomentumAccumulatesVelocity(t *testing.T) {
 	p := NewParam("w", tensor.New(1))
 	opt := &Momentum{LR: 1, Mu: 0.5}

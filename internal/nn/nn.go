@@ -4,8 +4,9 @@
 //
 // Layers follow an explicit forward/backward contract: Forward caches
 // whatever it needs, Backward consumes that cache, accumulates parameter
-// gradients, and returns the gradient with respect to the layer input.
-// A layer instance therefore serves one training goroutine at a time.
+// gradients, and returns the gradient with respect to the layer input
+// (nil for a network's input layer, see MarkInput). A layer instance
+// therefore serves one training goroutine at a time.
 //
 // The split-learning engine in internal/core cuts a Sequential into a
 // platform-side front (the paper's L1) and a server-side back
@@ -28,8 +29,11 @@ type Layer interface {
 
 	// Backward consumes the gradient of the loss with respect to the
 	// layer's output, accumulates parameter gradients, and returns the
-	// gradient with respect to the layer's input. It must follow a
-	// train-mode Forward.
+	// gradient with respect to the layer's input. A layer marked as a
+	// network's input layer (MarkInput) returns nil instead: its input
+	// is raw data, so that gradient is never read and never computed.
+	// A Sequential whose first layer is marked returns nil too. It
+	// must follow a train-mode Forward.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 
 	// Params returns the layer's trainable parameters, or nil.
@@ -37,6 +41,35 @@ type Layer interface {
 
 	// Name identifies the layer in diagnostics.
 	Name() string
+}
+
+// MarkInput declares l the first layer of a network, the one that
+// reads raw data. From then on l.Backward accumulates its parameter
+// gradients as before but skips the input gradient and returns nil.
+// Dense and Conv2D support the mark; MarkInput panics on any other
+// layer. The model builders mark layer 0, and a split's back half never
+// starts there, so the cut gradient is always computed.
+func MarkInput(l Layer) {
+	switch v := l.(type) {
+	case *Dense:
+		v.input = true
+	case *Conv2D:
+		v.input = true
+	default:
+		panic(fmt.Sprintf("nn: %s: %T cannot be marked as an input layer", l.Name(), l))
+	}
+}
+
+// IsInput reports whether l has been marked by MarkInput.
+func IsInput(l Layer) bool {
+	switch v := l.(type) {
+	case *Dense:
+		return v.input
+	case *Conv2D:
+		return v.input
+	default:
+		return false
+	}
 }
 
 // Param is one trainable tensor together with its gradient accumulator.

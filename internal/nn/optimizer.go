@@ -26,15 +26,18 @@ var _ Optimizer = (*SGD)(nil)
 // Name returns "sgd".
 func (s *SGD) Name() string { return "sgd" }
 
-// Step applies w ← w − lr·(g + wd·w).
+// Step applies w ← w − lr·(g + wd·w). Without weight decay the update
+// is one vector axpy per param, w + (−lr)·g, which rounds exactly like
+// w − lr·g.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
+		if s.WeightDecay == 0 {
+			p.W.AxpyInPlace(-s.LR, p.G)
+			continue
+		}
 		w, g := p.W.Data(), p.G.Data()
 		for i := range w {
-			grad := g[i]
-			if s.WeightDecay != 0 {
-				grad += s.WeightDecay * w[i]
-			}
+			grad := g[i] + s.WeightDecay*w[i]
 			w[i] -= s.LR * grad
 		}
 	}

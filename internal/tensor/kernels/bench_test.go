@@ -75,6 +75,21 @@ func BenchmarkKernelAxpy(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelClamp clamps a parameter-gradient-sized slice (the
+// MLP front's 3072×64 weight) the way nn.ClipGrads does every step.
+func BenchmarkKernelClamp(b *testing.B) {
+	const n = 3072 * 64
+	benchArms(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		x := randSlice(rng, n)
+		b.SetBytes(8 * n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Clamp(x, -0.5, 0.5)
+		}
+	})
+}
+
 func BenchmarkKernelDotI8(b *testing.B) {
 	const n = 4096
 	benchArms(b, func(b *testing.B) {

@@ -4,7 +4,7 @@ package kernels
 
 // AVX2 dispatch: feature bits are probed once at init with raw
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
-// axpy, int8 and dequantize kernels need AVX2 plus OS-enabled YMM
+// axpy, clamp, int8 and dequantize kernels need AVX2 plus OS-enabled YMM
 // state; the f16 converters additionally need F16C. Every assembly
 // routine ends in VZEROUPPER so mixed SSE code pays no transition
 // penalty.
@@ -28,6 +28,7 @@ var (
 	hasF16ASM bool
 	hasI8ASM  bool
 	hasDQ8ASM bool
+	hasMinASM bool // clamp (VMINPS/VMAXPS), strided like axpy
 )
 
 func init() {
@@ -52,6 +53,7 @@ func init() {
 	hasF16ASM = hasASM && c1&f16c != 0
 	hasI8ASM = hasASM
 	hasDQ8ASM = hasASM
+	hasMinASM = hasASM
 }
 
 // cpuid and xgetbv are implemented in cpu_amd64.s.
@@ -84,3 +86,6 @@ func f32ToF16Vec(dst *uint16, src *float32, nv int)
 
 //go:noescape
 func dequant8Vec(dst *float32, src *byte, lo, step float32, nv int)
+
+//go:noescape
+func clampVec(x *float32, lo, hi float32, nv int)

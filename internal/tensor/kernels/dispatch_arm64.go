@@ -4,7 +4,7 @@ package kernels
 
 // NEON dispatch: AdvSIMD is an architectural requirement of AArch64,
 // so there is nothing to probe — the GEMM, dot and axpy kernels are
-// always available. The int8-dot, dequantize and f16 conversions stay
+// always available. The clamp, int8-dot, dequantize and f16 conversions stay
 // on the generic scalar paths for now: the Go assembler has no
 // mnemonics for the signed-widen (SSHLL), int→float (UCVTF) and f16
 // (FCVTL/FCVTN) vector conversions they would need, and hand-encoded
@@ -35,6 +35,7 @@ const (
 	hasF16ASM = false
 	hasI8ASM  = false
 	hasDQ8ASM = false
+	hasMinASM = false
 )
 
 // Assembly microkernels (kernels_arm64.s). All take counts that are
@@ -64,3 +65,5 @@ func f32ToF16Vec(dst *uint16, src *float32, nv int) { panic("kernels: no f16 ass
 func dequant8Vec(dst *float32, src *byte, lo, step float32, nv int) {
 	panic("kernels: no dequantize assembly on arm64")
 }
+
+func clampVec(x *float32, lo, hi float32, nv int) { panic("kernels: no clamp assembly on arm64") }

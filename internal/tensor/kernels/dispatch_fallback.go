@@ -23,6 +23,7 @@ const (
 	hasF16ASM = false
 	hasI8ASM  = false
 	hasDQ8ASM = false
+	hasMinASM = false
 )
 
 func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
@@ -42,3 +43,5 @@ func f32ToF16Vec(dst *uint16, src *float32, nv int) { panic("kernels: no assembl
 func dequant8Vec(dst *float32, src *byte, lo, step float32, nv int) {
 	panic("kernels: no assembly in this build")
 }
+
+func clampVec(x *float32, lo, hi float32, nv int) { panic("kernels: no assembly in this build") }

@@ -70,7 +70,9 @@ func FuzzGEMMKernels(f *testing.F) {
 }
 
 // FuzzElementwiseKernels covers the non-GEMM kernels the same way:
-// dispatch vs generic vs scalar formula on arbitrary lengths.
+// dispatch vs generic vs scalar formula on arbitrary lengths. Clamp
+// inputs carry NaNs, signed zeros and infinities, because the optimizer
+// path clips every gradient through it.
 func FuzzElementwiseKernels(f *testing.F) {
 	f.Add(uint16(1), int64(1))
 	f.Add(uint16(31), int64(2))
@@ -93,6 +95,22 @@ func FuzzElementwiseKernels(f *testing.F) {
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("Axpy n=%d [%s]: got[%d]=%v want %v", n, Name(), i, got[i], want[i])
+			}
+		}
+
+		limit := float32(math.Abs(rng.NormFloat64()))
+		c := append([]float32(nil), x...)
+		seedClampSpecials(rng, c, -limit, limit)
+		cWant := append([]float32(nil), c...)
+		clampRef(cWant, -limit, limit)
+		for _, generic := range []bool{false, true} {
+			ForceGeneric(generic)
+			cGot := append([]float32(nil), c...)
+			Clamp(cGot, -limit, limit)
+			ForceGeneric(false)
+			if i := sameBits(cGot, cWant); i >= 0 {
+				t.Fatalf("Clamp n=%d limit=%v generic=%v [%s]: got[%d]=%x want %x", n, limit, generic, Name(), i,
+					math.Float32bits(cGot[i]), math.Float32bits(cWant[i]))
 			}
 		}
 

@@ -1,7 +1,7 @@
 // Package kernels is the architecture-dispatched microkernel layer
 // under internal/tensor and internal/compress. It exposes the small set
 // of dense primitives every hot loop in the repo reduces to — GEMM
-// inner panels, dot/axpy, f16↔f32 conversion, int8 dot with i32
+// inner panels, dot/axpy, clamp, f16↔f32 conversion, int8 dot with i32
 // accumulation, uint8 dequantize — each with
 //
 //   - a pure-Go reference implementation (always compiled, used on
@@ -27,10 +27,11 @@
 //     the scalar reference's `u += a*b` to FMADD. Signed zeros may
 //     differ (the scalar single-row path skips a==0 terms), which Go's
 //     == treats as equal.
-//   - Axpy, Dequantize8, f16/f32 conversions: elementwise, bit-identical
-//     to the scalar reference (conversions follow IEEE round-to-nearest-
-//     even, matching F16C/NEON hardware on finite values; NaN payloads
-//     are implementation-defined).
+//   - Axpy, Clamp, Dequantize8, f16/f32 conversions: elementwise,
+//     bit-identical to the scalar reference (conversions follow IEEE
+//     round-to-nearest-even, matching F16C/NEON hardware on finite
+//     values; NaN payloads are implementation-defined). Clamp is exact
+//     on every input, NaN payloads and signed zeros included.
 //   - DotI8: exact — integer arithmetic is associative, so lane
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
@@ -87,6 +88,12 @@ func activeF16() bool { return hasF16ASM && !genericForced() }
 func activeI8() bool { return hasI8ASM && !genericForced() }
 
 func activeDQ8() bool { return hasDQ8ASM && !genericForced() }
+
+// activeClamp gates the clamp assembly: amd64 only. arm64 runs it
+// generic because the Go assembler has no vector FMIN/FMAX/FCMGT
+// mnemonics, and FMIN/FMAX would quiet NaN payloads and order -0
+// below +0 anyway, which the scalar loop does not.
+func activeClamp() bool { return hasMinASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
 // "avx2", "neon" or "generic".
@@ -194,6 +201,31 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
+	}
+}
+
+// Clamp clamps every element of x into [lo, hi] in place (panics
+// unless lo <= hi): values above hi become hi, values below lo become
+// lo, and every other value — NaN and either zero included — is left
+// exactly as it was. Bit-identical to the scalar loop: the AVX2 kernel
+// passes x as the second source of VMINPS/VMAXPS, the operand those
+// instructions return when either input is NaN or both are zero.
+func Clamp(x []float32, lo, hi float32) {
+	if !(lo <= hi) {
+		panic("kernels: Clamp with lo > hi or a NaN bound")
+	}
+	i := 0
+	if activeClamp() && len(x) >= axpyStride {
+		nv := len(x) &^ (axpyStride - 1)
+		clampVec(&x[0], lo, hi, nv)
+		i = nv
+	}
+	for ; i < len(x); i++ {
+		if v := x[i]; v > hi {
+			x[i] = hi
+		} else if v < lo {
+			x[i] = lo
+		}
 	}
 }
 

@@ -290,3 +290,28 @@ dq8_loop:
 
 	VZEROUPPER
 	RET
+
+// func clampVec(x *float32, lo, hi float32, nv int)
+//
+// x[i] = max(lo, min(hi, x[i])) in place. x sits in the second-source
+// slot of both VMINPS and VMAXPS (the first Go operand), which the
+// instructions return whenever either input is NaN or both are zero,
+// so NaN and ±0 pass through bit for bit as in the scalar loop. nv is
+// a positive multiple of 8.
+TEXT ·clampVec(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	VBROADCASTSS lo+8(FP), Y0
+	VBROADCASTSS hi+12(FP), Y1
+	MOVQ nv+16(FP), CX
+
+clamp_loop:
+	VMOVUPS (DI), Y2
+	VMINPS Y2, Y1, Y2
+	VMAXPS Y2, Y0, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  clamp_loop
+
+	VZEROUPPER
+	RET

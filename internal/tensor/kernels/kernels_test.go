@@ -12,6 +12,48 @@ import (
 // generic implementation ForceGeneric selects. For the bit-contract
 // kernels the comparison is exact equality; only Dot gets a tolerance.
 
+// clampSpecials are the values Clamp must pass through or clamp
+// exactly like the scalar loop: quiet, signalling and negative NaNs,
+// both zeros, both infinities.
+var clampSpecials = []float32{
+	math.Float32frombits(0x7fc00000), math.Float32frombits(0x7f800001),
+	math.Float32frombits(0xffc00123), 0, float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+}
+
+// seedClampSpecials scatters clampSpecials (and the bounds themselves)
+// through x at random positions.
+func seedClampSpecials(rng *rand.Rand, x []float32, lo, hi float32) {
+	if len(x) == 0 {
+		return
+	}
+	vals := append(append([]float32(nil), clampSpecials...), lo, hi)
+	for i := 0; i < len(x)/4+1; i++ {
+		x[rng.Intn(len(x))] = vals[rng.Intn(len(vals))]
+	}
+}
+
+// clampRef is the scalar clamp loop Clamp is held to.
+func clampRef(x []float32, lo, hi float32) {
+	for i, v := range x {
+		if v > hi {
+			x[i] = hi
+		} else if v < lo {
+			x[i] = lo
+		}
+	}
+}
+
+// sameBits reports the first index where a and b differ bitwise, or -1.
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 func randSlice(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
 	for i := range s {
@@ -160,6 +202,19 @@ func TestForcedFallbackIdentical(t *testing.T) {
 			if yFast[i] != ySlow[i] {
 				t.Fatalf("Axpy n=%d: dispatch %v != generic %v at %d", n, yFast[i], ySlow[i], i)
 			}
+		}
+
+		c := randSlice(rng, n)
+		seedClampSpecials(rng, c, -0.5, 0.5)
+		cFast := append([]float32(nil), c...)
+		Clamp(cFast, -0.5, 0.5)
+		ForceGeneric(true)
+		cSlow := append([]float32(nil), c...)
+		Clamp(cSlow, -0.5, 0.5)
+		ForceGeneric(false)
+		if i := sameBits(cFast, cSlow); i >= 0 {
+			t.Fatalf("Clamp n=%d: dispatch %x != generic %x at %d", n,
+				math.Float32bits(cFast[i]), math.Float32bits(cSlow[i]), i)
 		}
 
 		src := make([]byte, n)
@@ -368,5 +423,40 @@ func TestAxpyMatchesScalar(t *testing.T) {
 				t.Fatalf("Axpy n=%d [%s]: got[%d]=%v want %v", n, Name(), i, got[i], want[i])
 			}
 		}
+	}
+}
+
+func TestClampMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bounds := []struct{ lo, hi float32 }{
+		{-5, 5}, {-0.5, 0.5}, {0, 0}, {float32(math.Copysign(0, -1)), 0}, {-1, 3},
+		{float32(math.Inf(-1)), float32(math.Inf(1))},
+	}
+	for _, bd := range bounds {
+		for _, n := range []int{0, 1, 7, 8, 9, 33, 1000} {
+			x := randSlice(rng, n)
+			for i := range x {
+				x[i] *= 4
+			}
+			seedClampSpecials(rng, x, bd.lo, bd.hi)
+			want := append([]float32(nil), x...)
+			clampRef(want, bd.lo, bd.hi)
+			got := append([]float32(nil), x...)
+			Clamp(got, bd.lo, bd.hi)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("Clamp [%v,%v] n=%d [%s]: got[%d]=%x want %x", bd.lo, bd.hi, n, Name(), i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	for _, bd := range []struct{ lo, hi float32 }{{1, -1}, {float32(math.NaN()), 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Clamp(lo=%v, hi=%v) did not panic", bd.lo, bd.hi)
+				}
+			}()
+			Clamp(make([]float32, 9), bd.lo, bd.hi)
+		}()
 	}
 }

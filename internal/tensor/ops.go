@@ -270,19 +270,15 @@ func ArgmaxRows(t *Tensor) []int {
 	return out
 }
 
-// ClipInPlace clamps every element into [-limit, limit]. Gradient
-// clipping keeps half-trained models from blowing up in long experiments.
+// ClipInPlace clamps every element into [-limit, limit]; NaN passes
+// through. Gradient clipping keeps half-trained models from blowing up
+// in long experiments. It dispatches to the vector kernel layer, which
+// is bit-identical to the scalar loop per element.
 func (t *Tensor) ClipInPlace(limit float32) {
 	if limit <= 0 {
 		panic("tensor: ClipInPlace with non-positive limit")
 	}
-	for i, v := range t.data {
-		if v > limit {
-			t.data[i] = limit
-		} else if v < -limit {
-			t.data[i] = -limit
-		}
-	}
+	kernels.Clamp(t.data, -limit, limit)
 }
 
 // ConcatRows stacks rank-2 tensors with identical column counts on top of
