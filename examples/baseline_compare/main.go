@@ -1,7 +1,10 @@
 // Baseline compare: the paper's Fig. 4 in miniature — the proposed
 // split framework against Large-Scale Synchronous SGD (the paper's
 // comparator) and FedAvg (the related-work de facto standard), on the
-// same workload, with measured bytes and accuracy.
+// same workload, with measured bytes and accuracy. Both baselines run
+// on internal/paramserver's one protocol and differ only in what a
+// client pushes (a gradient or its weights) and how the server applies
+// it.
 //
 //	go run ./examples/baseline_compare
 package main

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"medsplit/internal/fedavg"
 	"medsplit/internal/nn"
 	"medsplit/internal/tensor"
 	"medsplit/internal/transport"
@@ -1016,15 +1015,15 @@ func (s *Server) l1Sync(r int) error {
 	if len(lists) == 0 {
 		return fmt.Errorf("%w: L1 sync with no active platforms", ErrProtocol)
 	}
-	// Weighted average into fresh tensors. The arithmetic is the
-	// parameter-averaging kernel shared with the FedAvg baseline, so
-	// SplitFed's periodic averaging and standalone FedAvg agree bit for
-	// bit on how platform weights combine.
+	// Weighted average into fresh tensors. The arithmetic is nn's one
+	// aggregation kernel, shared with the FedAvg baseline, so SplitFed's
+	// periodic averaging and standalone FedAvg agree bit for bit on how
+	// platform weights combine.
 	avg := make([]*tensor.Tensor, len(lists[0]))
 	for i := range avg {
 		avg[i] = tensor.New(lists[0][i].Shape()...)
 	}
-	if err := fedavg.AverageInto(avg, lists, weights); err != nil {
+	if err := nn.AverageInto(avg, lists, weights); err != nil {
 		return fmt.Errorf("%w: L1 sync: %v", ErrProtocol, err)
 	}
 	payload := wire.EncodeTensors(avg...)

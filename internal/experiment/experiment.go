@@ -66,7 +66,8 @@ type Config struct {
 	Alpha float64
 	// LR is the SGD learning rate (default 0.05).
 	LR float32
-	// LocalSteps applies to FedAvg only (default 1).
+	// LocalSteps is FedAvg's local minibatch steps per round (default
+	// 1; negative values are rejected). FedAvg only.
 	LocalSteps int
 	// EvalEvery measures accuracy every so many rounds (default
 	// Rounds/5, at least 1).
@@ -249,6 +250,9 @@ func (c Config) validate() error {
 			return fmt.Errorf("experiment: relaxed round modes do not support replication")
 		}
 	}
+	if c.LocalSteps < 0 {
+		return fmt.Errorf("experiment: negative LocalSteps %d", c.LocalSteps)
+	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("experiment: negative CheckpointEvery %d", c.CheckpointEvery)
 	}
@@ -413,7 +417,8 @@ type Result struct {
 	// parameter's raw float bits (platform fronts in id order, then the
 	// server back). Two runs that trained bit-identically share it;
 	// the differential scenario tests compare digests across
-	// transports, codecs and fault scripts. Split scheme only.
+	// transports, codecs and fault scripts. The parameter-server
+	// baselines digest their global model.
 	WeightDigest uint64
 	// ModelParams is the trainable scalar count, for context in reports.
 	ModelParams int

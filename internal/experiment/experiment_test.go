@@ -69,6 +69,11 @@ func TestRunFedAvgProducesCurve(t *testing.T) {
 	if len(res.Curve.Points) == 0 || res.TrainingBytes == 0 {
 		t.Fatalf("curve %v bytes %d", res.Curve.Points, res.TrainingBytes)
 	}
+	// A negative step count is a config error, not a silent 1.
+	cfg.LocalSteps = -3
+	if _, err := RunFedAvg(cfg); err == nil {
+		t.Fatal("negative LocalSteps accepted")
+	}
 }
 
 // The paper's headline: at the same round schedule the split framework

@@ -90,6 +90,7 @@ func TestConfigValidationTable(t *testing.T) {
 	}{
 		{"valid", nil, true},
 		{"negative checkpoint every", func(c *Config) { c.CheckpointEvery = -3 }, false},
+		{"negative local steps", func(c *Config) { c.LocalSteps = -3 }, false},
 		{"checkpoint every without dir", func(c *Config) { c.CheckpointEvery = 4 }, false},
 		{"checkpoint every with dir", func(c *Config) { c.CheckpointEvery = 4; c.CheckpointDir = t.TempDir() }, true},
 	}

@@ -11,14 +11,13 @@ import (
 	"medsplit/internal/compress"
 	"medsplit/internal/core"
 	"medsplit/internal/dataset"
-	"medsplit/internal/fedavg"
 	"medsplit/internal/geonet"
 	"medsplit/internal/metrics"
 	"medsplit/internal/models"
 	"medsplit/internal/nn"
+	"medsplit/internal/paramserver"
 	"medsplit/internal/rng"
 	"medsplit/internal/simnet"
-	"medsplit/internal/syncsgd"
 	"medsplit/internal/transport"
 	"medsplit/internal/wire"
 )
@@ -392,7 +391,8 @@ func RunSplit(cfg Config) (*Result, error) {
 }
 
 // weightDigest folds every final parameter's raw float bits (fronts in
-// platform order, then the back half, little-endian) through FNV-1a.
+// platform order, then the back half or the baselines' global model,
+// little-endian) through FNV-1a.
 // Bit-identical training ⇒ equal digests; the scenario matrix tests
 // rely on this to compare runs across transports, codecs and fault
 // scripts without shipping full weight sets around.
@@ -438,6 +438,19 @@ func splitShape(meters []*transport.Meter, rounds int) geonet.SplitRoundShape {
 // RunSyncSGD trains the config with the paper's baseline (Large-Scale
 // Synchronous SGD).
 func RunSyncSGD(cfg Config) (*Result, error) {
+	return runParamServer(cfg, paramserver.SyncSGD, "large-scale sync SGD", "sync-sgd")
+}
+
+// RunFedAvg trains the config with Federated Averaging (the related-work
+// de facto standard).
+func RunFedAvg(cfg Config) (*Result, error) {
+	return runParamServer(cfg, paramserver.FedAvg, "fedavg", "fedavg")
+}
+
+// runParamServer is the body both parameter-server baselines share: one
+// global model on the server, one replica per platform, the curve read
+// off the server's evaluations and the platforms' meters.
+func runParamServer(cfg Config, algo paramserver.Algo, scheme, label string) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -450,15 +463,21 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := syncsgd.NewServer(syncsgd.ServerConfig{
+	scfg := paramserver.ServerConfig{
+		Algo:      algo,
 		Model:     globalM.Net,
-		Opt:       &nn.SGD{LR: cfg.LR},
-		Workers:   cfg.Platforms,
+		Clients:   cfg.Platforms,
 		Rounds:    cfg.Rounds,
-		ClipGrads: 5,
 		EvalEvery: cfg.EvalEvery,
 		EvalData:  test,
-	})
+	}
+	if algo == paramserver.SyncSGD {
+		scfg.Opt = &nn.SGD{LR: cfg.LR}
+		scfg.ClipGrads = 5
+	} else {
+		scfg.LocalSteps = cfg.LocalSteps
+	}
+	srv, err := paramserver.NewServer(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -467,46 +486,46 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	meters := make([]*transport.Meter, cfg.Platforms)
-	workers := make([]*syncsgd.Worker, cfg.Platforms)
-	for k := 0; k < cfg.Platforms; k++ {
+	clients := make([]*paramserver.Client, cfg.Platforms)
+	for k := range clients {
 		meters[k] = &transport.Meter{}
-		replica := replicas[k]
-		w, err := syncsgd.NewWorker(syncsgd.WorkerConfig{
-			ID:        k,
-			Model:     replica.Net,
-			Loss:      newLoss(),
-			Shard:     shards[k],
-			Batch:     batches[k],
-			Rounds:    cfg.Rounds,
-			EvalEvery: cfg.EvalEvery,
-			Seed:      cfg.Seed + uint64(1000+k),
-			Meter:     meters[k],
-		})
-		if err != nil {
+		ccfg := paramserver.ClientConfig{
+			ID:    k,
+			Model: replicas[k].Net,
+			Loss:  newLoss(),
+			Shard: shards[k],
+			Batch: batches[k],
+			Seed:  cfg.Seed + uint64(1000+k),
+			Meter: meters[k],
+		}
+		if algo == paramserver.FedAvg {
+			ccfg.Opt = &nn.SGD{LR: cfg.LR}
+		}
+		if clients[k], err = paramserver.NewClient(ccfg); err != nil {
 			return nil, err
 		}
-		workers[k] = w
 	}
-	serverStats, workerStats, err := syncsgd.RunLocal(srv, workers)
+	serverStats, clientStats, err := paramserver.RunLocal(srv, clients)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Scheme:      "large-scale sync SGD",
-		Curve:       metrics.Curve{Label: "sync-sgd"},
-		ModelParams: globalM.ParamCount(),
+		Scheme:       scheme,
+		Curve:        metrics.Curve{Label: label},
+		ModelParams:  globalM.ParamCount(),
+		WeightDigest: weightDigest(nil, globalM.Net),
 	}
 	for i, ev := range serverStats.Evals {
 		var bytes int64
-		for k := range workerStats {
-			if i < len(workerStats[k].Bytes) {
-				bytes += workerStats[k].Bytes[i].TrainingBytes
+		for _, st := range clientStats {
+			if i < len(st.Bytes) {
+				bytes += st.Bytes[i]
 			}
 		}
 		pt := metrics.Round{Round: ev.Round, Accuracy: ev.Accuracy, Bytes: bytes}
-		if len(workerStats[0].Rounds) > ev.Round {
-			pt.Loss = workerStats[0].Rounds[ev.Round].Loss
+		if len(clientStats[0].Loss) > ev.Round {
+			pt.Loss = clientStats[0].Loss[ev.Round]
 		}
 		res.Curve.Append(pt)
 	}
@@ -527,85 +546,6 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 		res.RoundTime = rt
 		annotateSimTime(&res.Curve, rt)
 	}
-	return res, nil
-}
-
-// RunFedAvg trains the config with Federated Averaging (the related-work
-// de facto standard).
-func RunFedAvg(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	shards, test, batches, err := BuildData(cfg)
-	if err != nil {
-		return nil, err
-	}
-	globalM, err := BuildModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := fedavg.NewServer(fedavg.ServerConfig{
-		Model:     globalM.Net,
-		Clients:   cfg.Platforms,
-		Rounds:    cfg.Rounds,
-		EvalEvery: cfg.EvalEvery,
-		EvalData:  test,
-	})
-	if err != nil {
-		return nil, err
-	}
-	replicas, err := buildModels(cfg, cfg.Platforms)
-	if err != nil {
-		return nil, err
-	}
-	meters := make([]*transport.Meter, cfg.Platforms)
-	clients := make([]*fedavg.Client, cfg.Platforms)
-	for k := 0; k < cfg.Platforms; k++ {
-		meters[k] = &transport.Meter{}
-		replica := replicas[k]
-		c, err := fedavg.NewClient(fedavg.ClientConfig{
-			ID:         k,
-			Model:      replica.Net,
-			Opt:        &nn.SGD{LR: cfg.LR},
-			Loss:       newLoss(),
-			Shard:      shards[k],
-			Batch:      batches[k],
-			LocalSteps: cfg.LocalSteps,
-			Rounds:     cfg.Rounds,
-			EvalEvery:  cfg.EvalEvery,
-			Seed:       cfg.Seed + uint64(1000+k),
-			Meter:      meters[k],
-		})
-		if err != nil {
-			return nil, err
-		}
-		clients[k] = c
-	}
-	serverStats, clientStats, err := fedavg.RunLocal(srv, clients)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Scheme:      "fedavg",
-		Curve:       metrics.Curve{Label: "fedavg"},
-		ModelParams: globalM.ParamCount(),
-	}
-	for i, ev := range serverStats.Evals {
-		var bytes int64
-		for k := range clientStats {
-			if i < len(clientStats[k].Bytes) {
-				bytes += clientStats[k].Bytes[i].TrainingBytes
-			}
-		}
-		pt := metrics.Round{Round: ev.Round, Accuracy: ev.Accuracy, Bytes: bytes}
-		if len(clientStats[0].Rounds) > ev.Round {
-			pt.Loss = clientStats[0].Rounds[ev.Round].Loss
-		}
-		res.Curve.Append(pt)
-	}
-	res.FinalAccuracy = res.Curve.Final().Accuracy
-	res.TrainingBytes = res.Curve.Final().Bytes
 	return res, nil
 }
 

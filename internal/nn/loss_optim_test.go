@@ -215,31 +215,6 @@ func TestCopyParams(t *testing.T) {
 	}
 }
 
-func TestAverageParams(t *testing.T) {
-	mk := func(v float32) []*Param {
-		return []*Param{NewParam("w", tensor.Full(v, 2))}
-	}
-	dst := mk(0)
-	if err := AverageParams(dst, [][]*Param{mk(1), mk(3)}, []float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0].W.At(0) != 2 {
-		t.Fatalf("uniform average = %v, want 2", dst[0].W.At(0))
-	}
-	if err := AverageParams(dst, [][]*Param{mk(1), mk(3)}, []float64{3, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0].W.At(0) != 1.5 {
-		t.Fatalf("weighted average = %v, want 1.5", dst[0].W.At(0))
-	}
-	if err := AverageParams(dst, nil, nil); err == nil {
-		t.Fatal("no sources must error")
-	}
-	if err := AverageParams(dst, [][]*Param{mk(1)}, []float64{0}); err == nil {
-		t.Fatal("zero total weight must error")
-	}
-}
-
 func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	src := NewSequential("m", NewDense("fc1", 4, 3, r), NewDense("fc2", 3, 2, r))

@@ -116,49 +116,6 @@ func CopyParams(dst, src []*Param) error {
 	return nil
 }
 
-// AverageParams overwrites dst's weights with the weighted average of the
-// source parameter lists. weights need not be normalized; they are scaled
-// to sum to 1. Used by FedAvg and by the split framework's L1
-// synchronization policy.
-func AverageParams(dst []*Param, srcs [][]*Param, weights []float64) error {
-	if len(srcs) == 0 {
-		return fmt.Errorf("nn: AverageParams with no sources")
-	}
-	if len(weights) != len(srcs) {
-		return fmt.Errorf("nn: AverageParams %d weights for %d sources", len(weights), len(srcs))
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("nn: AverageParams negative weight %v", w)
-		}
-		total += w
-	}
-	if total == 0 {
-		return fmt.Errorf("nn: AverageParams weights sum to zero")
-	}
-	for i := range dst {
-		acc := dst[i].W.Data()
-		for j := range acc {
-			acc[j] = 0
-		}
-		for s, src := range srcs {
-			if len(src) != len(dst) {
-				return fmt.Errorf("nn: AverageParams source %d has %d params, want %d", s, len(src), len(dst))
-			}
-			if !tensor.SameShape(dst[i].W, src[i].W) {
-				return fmt.Errorf("nn: AverageParams shape mismatch at %q (source %d)", dst[i].Name, s)
-			}
-			scale := float32(weights[s] / total)
-			sd := src[i].W.Data()
-			for j := range acc {
-				acc[j] += scale * sd[j]
-			}
-		}
-	}
-	return nil
-}
-
 // EncodeParams serializes the weights of params into a byte slice — the
 // payload a parameter-exchange scheme (FedAvg, synchronous SGD) puts on
 // the wire. EncodeGrads does the same for gradients.
@@ -305,21 +262,34 @@ func DecodeStateInto(state []*tensor.Tensor, buf []byte) error {
 	return nil
 }
 
-// AverageStateInto overwrites dst with the weighted average of the
-// source state lists — how BatchNorm buffers aggregate across workers.
-func AverageStateInto(dst []*tensor.Tensor, srcs [][]*tensor.Tensor, weights []float64) error {
+// AverageInto overwrites dst with the weighted average of the source
+// tensor lists: dst[i] = Σ_k (weights[k]/Σweights) · srcs[k][i]. It is
+// the one aggregation kernel: FedAvg's weight averaging, BatchNorm
+// state aggregation in both parameter-server baselines, and the split
+// engine's L1 sync (which SplitFed's periodic averaging runs through)
+// all combine tensors with this exact operation order and float32
+// rounding.
+//
+// Every source list must have one tensor per dst entry with a matching
+// shape; weights must be non-negative with a positive sum.
+func AverageInto(dst []*tensor.Tensor, srcs [][]*tensor.Tensor, weights []float64) error {
 	if len(srcs) == 0 || len(weights) != len(srcs) {
-		return fmt.Errorf("nn: AverageStateInto %d sources, %d weights", len(srcs), len(weights))
+		return fmt.Errorf("nn: AverageInto %d sources, %d weights", len(srcs), len(weights))
 	}
 	var total float64
 	for _, w := range weights {
 		if w < 0 {
-			return fmt.Errorf("nn: negative state weight %v", w)
+			return fmt.Errorf("nn: negative aggregation weight %v", w)
 		}
 		total += w
 	}
 	if total == 0 {
-		return fmt.Errorf("nn: state weights sum to zero")
+		return fmt.Errorf("nn: aggregation weights sum to zero")
+	}
+	for s, src := range srcs {
+		if len(src) != len(dst) {
+			return fmt.Errorf("nn: source %d has %d tensors, want %d", s, len(src), len(dst))
+		}
 	}
 	for i, d := range dst {
 		acc := d.Data()
@@ -327,11 +297,8 @@ func AverageStateInto(dst []*tensor.Tensor, srcs [][]*tensor.Tensor, weights []f
 			acc[j] = 0
 		}
 		for s, src := range srcs {
-			if len(src) != len(dst) {
-				return fmt.Errorf("nn: state source %d has %d tensors, want %d", s, len(src), len(dst))
-			}
 			if !tensor.SameShape(d, src[i]) {
-				return fmt.Errorf("nn: state %d shape mismatch at source %d", i, s)
+				return fmt.Errorf("nn: tensor %d shape %v at source %d, want %v", i, src[i].Shape(), s, d.Shape())
 			}
 			scale := float32(weights[s] / total)
 			sd := src[i].Data()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"medsplit/internal/rng"
@@ -206,28 +207,65 @@ func TestEncodeDecodeModelWithState(t *testing.T) {
 	}
 }
 
+// TestAverageStateInto pins the one aggregation kernel the parameter
+// server, BatchNorm state sync, the L1 sync and SplitFed share.
 func TestAverageStateInto(t *testing.T) {
-	mk := func(v float32) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(v, 3)}
+	// mk builds one source list: tensor i is [v_i, 2·v_i].
+	mk := func(vals ...float32) []*tensor.Tensor {
+		ts := make([]*tensor.Tensor, len(vals))
+		for i, v := range vals {
+			ts[i] = tensor.FromSlice([]float32{v, 2 * v}, 2)
+		}
+		return ts
 	}
-	dst := mk(0)
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(2), mk(6)}, []float64{1, 1}); err != nil {
-		t.Fatal(err)
+	mismatched := mk(1, 2)
+	mismatched[1] = tensor.New(3)
+	cases := []struct {
+		name    string
+		srcs    [][]*tensor.Tensor
+		weights []float64
+		want    []float32 // flattened dst; nil = must error
+	}{
+		{"uniform", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{1, 1}, []float32{4, 8}},
+		{"weighted", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{3, 1}, []float32{3, 6}},
+		// (3·1 + 1·3)/4 = 1.5 and (3·10 + 1·30)/4 = 15.
+		{"weighted two tensors", [][]*tensor.Tensor{mk(1, 10), mk(3, 30)}, []float64{3, 1}, []float32{1.5, 3, 15, 30}},
+		{"zero weight drops a source", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 2}, []float32{3, 6}},
+		{"no sources", nil, nil, nil},
+		{"weight count mismatch", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{1}, nil},
+		{"negative weight", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{-1, 2}, nil},
+		{"zero-sum weights", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 0}, nil},
+		{"source length mismatch", [][]*tensor.Tensor{mk(1, 2), mk(1)}, []float64{1, 1}, nil},
+		{"shape mismatch", [][]*tensor.Tensor{mismatched}, []float64{1}, nil},
 	}
-	if dst[0].At(0) != 4 {
-		t.Fatalf("uniform average %v", dst[0].At(0))
-	}
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(2), mk(6)}, []float64{3, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0].At(0) != 3 {
-		t.Fatalf("weighted average %v", dst[0].At(0))
-	}
-	if err := AverageStateInto(dst, nil, nil); err == nil {
-		t.Fatal("no sources accepted")
-	}
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(1)}, []float64{0}); err == nil {
-		t.Fatal("zero weights accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 1
+			if len(tc.srcs) > 0 {
+				n = len(tc.srcs[0])
+			}
+			dst := make([]*tensor.Tensor, n)
+			for i := range dst {
+				dst[i] = tensor.New(2)
+			}
+			err := AverageInto(dst, tc.srcs, tc.weights)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatal("accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float32
+			for _, d := range dst {
+				got = append(got, d.Data()...)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("dst = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
