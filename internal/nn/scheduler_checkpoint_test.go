@@ -207,37 +207,25 @@ func TestEncodeDecodeModelWithState(t *testing.T) {
 	}
 }
 
-// TestAverageStateInto pins the one aggregation kernel the parameter
-// server, BatchNorm state sync, the L1 sync and SplitFed share.
-func TestAverageStateInto(t *testing.T) {
-	// mk builds one source list: tensor i is [v_i, 2·v_i].
-	mk := func(vals ...float32) []*tensor.Tensor {
-		ts := make([]*tensor.Tensor, len(vals))
-		for i, v := range vals {
-			ts[i] = tensor.FromSlice([]float32{v, 2 * v}, 2)
-		}
-		return ts
+// averageCase is one row of the aggregation kernel's tables.
+type averageCase struct {
+	name    string
+	srcs    [][]*tensor.Tensor
+	weights []float64
+	want    []float32 // flattened dst; nil = must error
+}
+
+// mkSources builds one source list: tensor i is [v_i, 2·v_i].
+func mkSources(vals ...float32) []*tensor.Tensor {
+	ts := make([]*tensor.Tensor, len(vals))
+	for i, v := range vals {
+		ts[i] = tensor.FromSlice([]float32{v, 2 * v}, 2)
 	}
-	mismatched := mk(1, 2)
-	mismatched[1] = tensor.New(3)
-	cases := []struct {
-		name    string
-		srcs    [][]*tensor.Tensor
-		weights []float64
-		want    []float32 // flattened dst; nil = must error
-	}{
-		{"uniform", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{1, 1}, []float32{4, 8}},
-		{"weighted", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{3, 1}, []float32{3, 6}},
-		// (3·1 + 1·3)/4 = 1.5 and (3·10 + 1·30)/4 = 15.
-		{"weighted two tensors", [][]*tensor.Tensor{mk(1, 10), mk(3, 30)}, []float64{3, 1}, []float32{1.5, 3, 15, 30}},
-		{"zero weight drops a source", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 2}, []float32{3, 6}},
-		{"no sources", nil, nil, nil},
-		{"weight count mismatch", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{1}, nil},
-		{"negative weight", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{-1, 2}, nil},
-		{"zero-sum weights", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 0}, nil},
-		{"source length mismatch", [][]*tensor.Tensor{mk(1, 2), mk(1)}, []float64{1, 1}, nil},
-		{"shape mismatch", [][]*tensor.Tensor{mismatched}, []float64{1}, nil},
-	}
+	return ts
+}
+
+func runAverageCases(t *testing.T, cases []averageCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := 1
@@ -267,6 +255,37 @@ func TestAverageStateInto(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAverageStateInto pins the weighting of the one aggregation kernel
+// the parameter server, BatchNorm state sync, the L1 sync and SplitFed
+// share.
+func TestAverageStateInto(t *testing.T) {
+	mk := mkSources
+	runAverageCases(t, []averageCase{
+		{"uniform", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{1, 1}, []float32{4, 8}},
+		{"weighted", [][]*tensor.Tensor{mk(2), mk(6)}, []float64{3, 1}, []float32{3, 6}},
+		{"zero weight drops a source", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 2}, []float32{3, 6}},
+		{"no sources", nil, nil, nil},
+		{"zero-sum weights", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 0}, nil},
+	})
+}
+
+// TestAverageInto pins the kernel on multi-tensor sources and its
+// rejection of inputs that do not line up.
+func TestAverageInto(t *testing.T) {
+	mk := mkSources
+	mismatched := mk(1, 2)
+	mismatched[1] = tensor.New(3)
+	runAverageCases(t, []averageCase{
+		// (3·1 + 1·3)/4 = 1.5 and (3·10 + 1·30)/4 = 15.
+		{"weighted two tensors", [][]*tensor.Tensor{mk(1, 10), mk(3, 30)}, []float64{3, 1}, []float32{1.5, 3, 15, 30}},
+		{"weight count mismatch", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{1}, nil},
+		{"negative weight", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{-1, 2}, nil},
+		{"zero-sum weights", [][]*tensor.Tensor{mk(1), mk(3)}, []float64{0, 0}, nil},
+		{"source length mismatch", [][]*tensor.Tensor{mk(1, 2), mk(1)}, []float64{1, 1}, nil},
+		{"shape mismatch", [][]*tensor.Tensor{mismatched}, []float64{1}, nil},
+	})
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

@@ -275,23 +275,45 @@ func TestBatchNormStateReachesServer(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
+func TestFedAvgConfigValidation(t *testing.T) { configValidation(t, FedAvg) }
+
+func TestSyncSGDConfigValidation(t *testing.T) { configValidation(t, SyncSGD) }
+
+// configValidation checks that a server of the given algorithm, and
+// the clients that join it, reject every malformed config as ErrConfig.
+func configValidation(t *testing.T, algo Algo) {
 	train, test := flatData(t, 2, 16, 8, 44)
 	in := train.X.Dim(1)
 	model := buildModel(11, in, 2)
-	servers := []struct {
+	base := ServerConfig{Algo: algo, Model: model, Clients: 1, Rounds: 1}
+	if algo == SyncSGD {
+		base.Opt = &nn.SGD{}
+	}
+	if _, err := NewServer(base); err != nil {
+		t.Fatalf("valid %v server: %v", algo, err)
+	}
+	with := func(edit func(*ServerConfig)) ServerConfig {
+		cfg := base
+		edit(&cfg)
+		return cfg
+	}
+	type serverCase struct {
 		name string
 		cfg  ServerConfig
-	}{
-		{"nil model", ServerConfig{Algo: FedAvg, Clients: 1, Rounds: 1}},
-		{"zero clients", ServerConfig{Algo: FedAvg, Model: model, Rounds: 1}},
-		{"zero rounds", ServerConfig{Algo: FedAvg, Model: model, Clients: 1}},
-		{"unknown algo", ServerConfig{Model: model, Clients: 1, Rounds: 1}},
-		{"syncsgd without optimizer", ServerConfig{Algo: SyncSGD, Model: model, Clients: 1, Rounds: 1}},
-		{"syncsgd with local steps", ServerConfig{Algo: SyncSGD, Model: model, Opt: &nn.SGD{}, Clients: 1, Rounds: 1, LocalSteps: 4}},
-		{"negative local steps", ServerConfig{Algo: FedAvg, Model: model, Clients: 1, Rounds: 1, LocalSteps: -3}},
-		{"negative eval period", ServerConfig{Algo: FedAvg, Model: model, Clients: 1, Rounds: 1, EvalEvery: -1, EvalData: test}},
-		{"eval without data", ServerConfig{Algo: FedAvg, Model: model, Clients: 1, Rounds: 1, EvalEvery: 1}},
+	}
+	servers := []serverCase{
+		{"nil model", with(func(c *ServerConfig) { c.Model = nil })},
+		{"zero clients", with(func(c *ServerConfig) { c.Clients = 0 })},
+		{"zero rounds", with(func(c *ServerConfig) { c.Rounds = 0 })},
+		{"unknown algo", with(func(c *ServerConfig) { c.Algo = 0 })},
+		{"negative local steps", with(func(c *ServerConfig) { c.LocalSteps = -3 })},
+		{"negative eval period", with(func(c *ServerConfig) { c.EvalEvery, c.EvalData = -1, test })},
+		{"eval without data", with(func(c *ServerConfig) { c.EvalEvery = 1 })},
+	}
+	if algo == SyncSGD {
+		servers = append(servers,
+			serverCase{"syncsgd without optimizer", with(func(c *ServerConfig) { c.Opt = nil })},
+			serverCase{"syncsgd with local steps", with(func(c *ServerConfig) { c.LocalSteps = 4 })})
 	}
 	for _, tc := range servers {
 		if _, err := NewServer(tc.cfg); !errors.Is(err, ErrConfig) {

@@ -14,11 +14,11 @@ import (
 	"medsplit/internal/wire"
 )
 
-// helloServer starts a one-client server and returns its error channel
-// plus the client end of the pipe.
-func helloServer(t *testing.T) (transport.Conn, chan error) {
+// helloServer starts a one-client server of the given algorithm and
+// returns its error channel plus the client end of the pipe.
+func helloServer(t *testing.T, algo Algo) (transport.Conn, chan error) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Algo: FedAvg, Model: buildModel(61, 24, 2), Clients: 1, Rounds: 1})
+	srv, err := NewServer(ServerConfig{Algo: algo, Model: buildModel(61, 24, 2), Opt: &nn.SGD{}, Clients: 1, Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +33,11 @@ func helloServer(t *testing.T) (transport.Conn, chan error) {
 	return cConn, errCh
 }
 
-// sendHello sends meta as a client hello and returns the server's error.
-func sendHello(t *testing.T, meta string) error {
+// sendHello sends meta as a client hello to a server of the given
+// algorithm and returns the server's error.
+func sendHello(t *testing.T, algo Algo, meta string) error {
 	t.Helper()
-	cConn, errCh := helloServer(t)
+	cConn, errCh := helloServer(t, algo)
 	if err := cConn.Send(&wire.Message{Type: wire.MsgHello, Payload: wire.EncodeText(meta)}); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,12 @@ func sendHello(t *testing.T, meta string) error {
 // rejected fail-fast with a typed *wire.FrameSkewError, not
 // mis-reported as a protocol mismatch or left to desynchronize
 // mid-training.
-func TestRejectsUnversionedHello(t *testing.T) {
-	err := sendHello(t, "v=1;algo=fedavg;rounds=1;eval=0") // what a pre-negotiation build sends
+func TestFedAvgRejectsUnversionedHello(t *testing.T) { rejectsUnversionedHello(t, FedAvg) }
+
+func TestSyncSGDRejectsUnversionedHello(t *testing.T) { rejectsUnversionedHello(t, SyncSGD) }
+
+func rejectsUnversionedHello(t *testing.T, algo Algo) {
+	err := sendHello(t, algo, "v=1;algo="+algo.String()+";rounds=1;eval=0") // what a pre-negotiation build sends
 	var skew *wire.FrameSkewError
 	if !errors.As(err, &skew) {
 		t.Fatalf("err = %v, want *wire.FrameSkewError", err)
@@ -64,7 +69,7 @@ func TestRejectsUnversionedHello(t *testing.T) {
 // A peer declaring a different frame version is rejected with the
 // declared version in the error.
 func TestRejectsFrameSkew(t *testing.T) {
-	err := sendHello(t, fmt.Sprintf("%s;frame=%d", hello, wire.FrameVersion-1))
+	err := sendHello(t, FedAvg, fmt.Sprintf("%s;frame=%d", hello, wire.FrameVersion-1))
 	var skew *wire.FrameSkewError
 	if !errors.As(err, &skew) {
 		t.Fatalf("err = %v, want *wire.FrameSkewError", err)
@@ -77,14 +82,19 @@ func TestRejectsFrameSkew(t *testing.T) {
 // A version-1 client, which still sends its own copy of the plan, is a
 // protocol mismatch.
 func TestServerRejectsBadHello(t *testing.T) {
-	if err := sendHello(t, "v=1;algo=fedavg;rounds=1;eval=0"+wire.FrameField()); !errors.Is(err, ErrProtocol) {
+	if err := sendHello(t, FedAvg, "v=1;algo=fedavg;rounds=1;eval=0"+wire.FrameField()); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
 }
 
-// The client runs the server's plan, whatever it is, and rejects an
-// ack whose plan is malformed or out of range.
-func TestClientAdoptsServerPlan(t *testing.T) {
+func TestFedAvgClientAdoptsServerPlan(t *testing.T) { clientAdoptsServerPlan(t, FedAvg) }
+
+func TestSyncSGDClientAdoptsServerPlan(t *testing.T) { clientAdoptsServerPlan(t, SyncSGD) }
+
+// clientAdoptsServerPlan checks that a client runs the plan of a server
+// of the given algorithm, whatever it is, and rejects an ack whose plan
+// is malformed or out of range.
+func clientAdoptsServerPlan(t *testing.T, algo Algo) {
 	train, test := flatData(t, 2, 32, 8, 57)
 	in := train.X.Dim(1)
 	newClient := func(opt nn.Optimizer) *Client {
@@ -99,14 +109,23 @@ func TestClientAdoptsServerPlan(t *testing.T) {
 	}
 
 	t.Run("adopts", func(t *testing.T) {
-		srv, err := NewServer(ServerConfig{
-			Algo: FedAvg, Model: buildModel(27, in, 2), Clients: 1,
-			Rounds: 5, EvalEvery: 2, LocalSteps: 3, EvalData: test,
-		})
+		cfg := ServerConfig{
+			Algo: algo, Model: buildModel(27, in, 2), Clients: 1,
+			Rounds: 5, EvalEvery: 2, EvalData: test,
+		}
+		// FedAvg clients take three local steps a round; SyncSGD
+		// clients one, with the optimizer on the server.
+		steps, clientOpt := 1, nn.Optimizer(nil)
+		if algo == FedAvg {
+			cfg.LocalSteps, steps, clientOpt = 3, 3, &nn.SGD{LR: 0.05}
+		} else {
+			cfg.Opt = &nn.SGD{LR: 0.05}
+		}
+		srv, err := NewServer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newClient(&nn.SGD{LR: 0.05})
+		c := newClient(clientOpt)
 		serverStats, clientStats, err := RunLocal(srv, []*Client{c})
 		if err != nil {
 			t.Fatal(err)
@@ -121,34 +140,40 @@ func TestClientAdoptsServerPlan(t *testing.T) {
 		if st := clientStats[0]; len(st.Loss) != 5 || len(st.Bytes) != 3 {
 			t.Fatalf("client ran %d rounds with %d snapshots, want 5 and 3", len(st.Loss), len(st.Bytes))
 		}
-		// Three local steps in each of five rounds drew 15 batches.
+		// steps local steps in each of five rounds drew 5·steps batches.
 		ref := dataset.NewBatchSampler(seqIdx(train.Len()), 4, rng.New(0^0x9e3779b97f4a7c15))
-		for i := 0; i < 15; i++ {
+		for i := 0; i < 5*steps; i++ {
 			ref.Next()
 		}
 		if got, want := c.sampler.Next(), ref.Next(); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("next batch %v, want %v after 15 draws", got, want)
+			t.Fatalf("next batch %v, want %v after %d draws", got, want, 5*steps)
 		}
 	})
 
-	for _, tc := range []struct {
+	ack := func(format string) []byte { return wire.EncodeText(fmt.Sprintf(format, algo)) }
+	type ackCase struct {
 		name string
 		ack  []byte
 		opt  nn.Optimizer
-	}{
+	}
+	cases := []ackCase{
 		{"empty ack", nil, &nn.SGD{}},
 		{"not text", []byte{0xff, 1, 2}, &nn.SGD{}},
-		{"zero rounds", wire.EncodeText("algo=fedavg;rounds=0;eval=0;steps=1"), &nn.SGD{}},
-		{"negative rounds", wire.EncodeText("algo=fedavg;rounds=-2;eval=0;steps=1"), &nn.SGD{}},
+		{"zero rounds", ack("algo=%s;rounds=0;eval=0;steps=1"), &nn.SGD{}},
+		{"negative rounds", ack("algo=%s;rounds=-2;eval=0;steps=1"), &nn.SGD{}},
 		{"unknown algo", wire.EncodeText("algo=adam;rounds=2;eval=0;steps=1"), &nn.SGD{}},
-		{"zero steps", wire.EncodeText("algo=fedavg;rounds=2;eval=0;steps=0"), &nn.SGD{}},
-		{"syncsgd with local steps", wire.EncodeText("algo=syncsgd;rounds=2;eval=0;steps=3"), nil},
-		{"negative eval", wire.EncodeText("algo=fedavg;rounds=2;eval=-1;steps=1"), &nn.SGD{}},
-		{"non-canonical number", wire.EncodeText("algo=fedavg;rounds=+2;eval=0;steps=1"), &nn.SGD{}},
-		{"trailing field", wire.EncodeText("algo=fedavg;rounds=2;eval=0;steps=1;x=1"), &nn.SGD{}},
-		{"missing field", wire.EncodeText("algo=fedavg;rounds=2;eval=0"), &nn.SGD{}},
-		{"fedavg plan without optimizer", wire.EncodeText("algo=fedavg;rounds=2;eval=0;steps=1"), nil},
-	} {
+		{"zero steps", ack("algo=%s;rounds=2;eval=0;steps=0"), &nn.SGD{}},
+		{"negative eval", ack("algo=%s;rounds=2;eval=-1;steps=1"), &nn.SGD{}},
+		{"non-canonical number", ack("algo=%s;rounds=+2;eval=0;steps=1"), &nn.SGD{}},
+		{"trailing field", ack("algo=%s;rounds=2;eval=0;steps=1;x=1"), &nn.SGD{}},
+		{"missing field", ack("algo=%s;rounds=2;eval=0"), &nn.SGD{}},
+	}
+	if algo == FedAvg {
+		cases = append(cases, ackCase{"fedavg plan without optimizer", ack("algo=%s;rounds=2;eval=0;steps=1"), nil})
+	} else {
+		cases = append(cases, ackCase{"syncsgd with local steps", ack("algo=%s;rounds=2;eval=0;steps=3"), nil})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sConn, cConn := transport.Pipe()
 			defer sConn.Close()
